@@ -30,7 +30,7 @@
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use ofd_core::{fnv1a64, FaultPlan, FxHashMap, Obs, Relation, SnapshotStore};
+use ofd_core::{fnv1a64, FaultPlan, Fingerprint, FxHashMap, Obs, Relation, SnapshotStore};
 use ofd_datagen::csv;
 use ofd_ontology::{parse_ontology, Ontology};
 use serde_json::{json, Value};
@@ -56,6 +56,25 @@ pub struct CatalogEntry {
     pub relation: Relation,
     /// Parsed ontology, interned once per process.
     pub ontology_parsed: Ontology,
+    /// [`keyed_content`] state per key label, computed on first use: a
+    /// version's texts never change, so no request re-hashes them.
+    keyed: Mutex<FxHashMap<&'static str, Fingerprint>>,
+}
+
+impl CatalogEntry {
+    /// The fingerprint state after `(label, csv, ontology)` — exactly
+    /// [`keyed_content`] over this entry's texts, hashed once per label.
+    pub(crate) fn keyed(&self, label: &'static str) -> Fingerprint {
+        if let Some(fp) = self.keyed.lock().expect("keyed lock").get(label) {
+            return fp.clone();
+        }
+        let fp = keyed_content(label, &self.csv, &self.ontology);
+        self.keyed
+            .lock()
+            .expect("keyed lock")
+            .insert(label, fp.clone());
+        fp
+    }
 }
 
 /// Why a catalog operation failed, split the same way job errors are:
@@ -87,10 +106,23 @@ impl CatalogError {
 /// and the router, which fingerprints inline bodies the same way so a
 /// dataset routes to the same worker whether shipped by name or inline.
 pub fn content_fingerprint(csv_text: &str, onto_text: &str) -> u64 {
-    let mut fp = ofd_core::Fingerprint::new();
+    let mut fp = Fingerprint::new();
     fp.update_str(csv_text);
     fp.update_str(onto_text);
     fp.finish()
+}
+
+/// The state every request key over a dataset starts from: `label` (what
+/// the key names — an endpoint, or `"stream"` for sessions), then the CSV
+/// and ontology texts. Inline requests hash through here on every call;
+/// cataloged ones through the memo in [`CatalogEntry::keyed`], so the two
+/// paths cannot diverge and a request keys the same either way.
+pub(crate) fn keyed_content(label: &str, csv_text: &str, onto_text: &str) -> Fingerprint {
+    let mut fp = Fingerprint::new();
+    fp.update_str(label);
+    fp.update_str(csv_text);
+    fp.update_str(onto_text);
+    fp
 }
 
 /// Validates a dataset name: 1–64 chars of `[A-Za-z0-9_-]`. Dots are
@@ -332,6 +364,7 @@ impl Catalog {
             fingerprint: content_fingerprint(csv_text, onto_text),
             relation,
             ontology_parsed,
+            keyed: Mutex::new(FxHashMap::default()),
         });
         if intern {
             self.interned

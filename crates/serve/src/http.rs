@@ -7,15 +7,97 @@
 //! fast with a typed error the server maps to `431`/`413`, so a
 //! misbehaving client cannot balloon server memory before admission
 //! control even sees the request.
+//!
+//! The accept side lives here too: `AcceptLoop` is the one blocking
+//! accept loop every listener in the crate runs on.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use serde_json::Value;
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// The one accept loop behind the server, the router and the chaos
+/// proxy. Its thread blocks in `accept`, so a connection is handed on the
+/// moment it arrives (no polling interval), and each connection goes to
+/// the handler on the loop thread — handlers spawn their own threads, and
+/// the chaos proxy relies on accept order. [`AcceptLoop::stop`] sets the
+/// stop flag, then wakes the blocked `accept` by connecting to the
+/// listener; the loop sees the flag and exits without handing that
+/// connection on.
+pub(crate) struct AcceptLoop {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl AcceptLoop {
+    /// Spawns a thread named `name` serving `listener` until stopped.
+    pub(crate) fn spawn(
+        listener: TcpListener,
+        name: &str,
+        mut on_conn: impl FnMut(TcpStream) + Send + 'static,
+    ) -> std::io::Result<AcceptLoop> {
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || loop {
+                let conn = listener.accept();
+                if stopped.load(Ordering::SeqCst) {
+                    return;
+                }
+                match conn {
+                    Ok((stream, _)) => on_conn(stream),
+                    // Out of descriptors and the like: back off, don't spin.
+                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                }
+            })?;
+        Ok(AcceptLoop {
+            addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// The listener's bound address.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops the loop and joins its thread. Idempotent. One wake
+    /// connection is enough even when the loop is not yet back inside
+    /// `accept`: it waits in the backlog. Should every wake fail to
+    /// connect, the thread is left detached rather than joined forever.
+    pub(crate) fn stop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let Some(thread) = self.thread.take() else {
+            return;
+        };
+        // An unspecified bind address (`0.0.0.0`, `[::]`) is not a
+        // portable connect target; its loopback twin reaches the same
+        // listener.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let woken =
+            (0..5).any(|_| TcpStream::connect_timeout(&wake, Duration::from_millis(200)).is_ok());
+        if woken || thread.is_finished() {
+            let _ = thread.join();
+        }
+    }
+}
 
 /// A parsed request.
 #[derive(Debug)]

@@ -26,7 +26,7 @@ use ofd_discovery::{DiscoveryOptions, FastOfd};
 use ofd_ontology::{parse_ontology, Ontology};
 use serde_json::{json, Value};
 
-use crate::catalog::{Catalog, CatalogEntry};
+use crate::catalog::{keyed_content, Catalog, CatalogEntry};
 
 /// The job endpoints behind admission control.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,21 +259,15 @@ impl Inputs<'_> {
         }
     }
 
-    /// The CSV text — resolved, not the reference — so a job shipped
-    /// inline and the same job shipped as `name@version` fingerprint to
-    /// the *same* checkpoint directory and can adopt each other's
-    /// snapshots.
-    pub(crate) fn csv_text(&self) -> &str {
+    /// The key state after `label` and the *resolved* texts, not the
+    /// reference — so a job shipped inline and the same job shipped as
+    /// `name@version` fingerprint to the *same* checkpoint directory and
+    /// can adopt each other's snapshots. Cataloged texts are hashed once
+    /// per entry, not per request.
+    pub(crate) fn keyed(&self, label: &'static str) -> Fingerprint {
         match self {
-            Inputs::Inline { csv, .. } => csv,
-            Inputs::Cataloged(e) => &e.csv,
-        }
-    }
-
-    pub(crate) fn onto_text(&self) -> &str {
-        match self {
-            Inputs::Inline { onto_text, .. } => onto_text,
-            Inputs::Cataloged(e) => &e.ontology,
+            Inputs::Inline { csv, onto_text, .. } => keyed_content(label, csv, onto_text),
+            Inputs::Cataloged(e) => e.keyed(label),
         }
     }
 
@@ -397,10 +391,7 @@ fn job_checkpoint(
     let Some(root) = &ctx.checkpoint_root else {
         return Ok(None);
     };
-    let mut fp = Fingerprint::new();
-    fp.update_str(endpoint.label());
-    fp.update_str(inputs.csv_text());
-    fp.update_str(inputs.onto_text());
+    let mut fp = inputs.keyed(endpoint.label());
     for opt in ["kappa", "tau"] {
         fp.update_u64(opt_f64(body, opt)?.unwrap_or(-1.0).to_bits());
     }
@@ -830,6 +821,13 @@ mod tests {
             dir_of(&json!({"csv": csv_text})),
             dir_of(&json!({"dataset": "shared@1"})),
             "inline and by-reference requests with identical content adopt the same snapshots"
+        );
+        // Directory names are persisted: a restarted or adopting replica
+        // finds a job's snapshots only under the name earlier releases
+        // derived, so the key layout is pinned as a literal.
+        assert_eq!(
+            dir_of(&json!({"dataset": "shared@1"})).file_name(),
+            Some(std::ffi::OsStr::new("job-41b80dc29d321467"))
         );
         let _ = std::fs::remove_dir_all(&tmp);
     }

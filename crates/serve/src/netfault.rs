@@ -34,10 +34,11 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ofd_core::{FaultPlan, NetFault, Obs};
+
+use crate::http::AcceptLoop;
 
 /// The network-chaos counters, touched at proxy (and router) bind time
 /// so a metrics scrape of an idle process still shows them at zero.
@@ -62,11 +63,11 @@ const RELAY_IO: Duration = Duration::from_secs(30);
 /// and fires deterministic network toxics. Bind one per worker/peer
 /// address and point the router (or a peer list) at [`Self::addr`].
 pub struct NetFaultProxy {
-    addr: SocketAddr,
     plan: Arc<FaultPlan>,
     schedule: Arc<Mutex<Vec<String>>>,
+    /// Tells stalled toxic handlers to let go of their connections.
     stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    accept: AcceptLoop,
 }
 
 impl NetFaultProxy {
@@ -75,59 +76,51 @@ impl NetFaultProxy {
     /// `serve.net.*` counters.
     pub fn bind(upstream: SocketAddr, plan: Arc<FaultPlan>, obs: Obs) -> io::Result<NetFaultProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
         for name in NET_COUNTERS {
             obs.touch_counter(name);
         }
         let schedule = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
-        let accept_thread = {
+        let accept = {
             let plan = Arc::clone(&plan);
             let schedule = Arc::clone(&schedule);
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
+            AcceptLoop::spawn(listener, "ofd-netfault-accept", move |client| {
+                // Probe in the accept loop, not the handler thread:
+                // occurrence order == accept order, which is what makes
+                // the schedule a pure function of the seed.
+                let toxic = plan.net_fault();
+                schedule
+                    .lock()
+                    .unwrap()
+                    .push(toxic.map(|t| t.label().to_string()).unwrap_or_else(|| "pass".into()));
+                if let Some(t) = toxic {
+                    obs.inc("serve.net.injected");
+                    match t {
+                        NetFault::Reset => obs.inc("serve.net.resets"),
+                        NetFault::Blackhole => obs.inc("serve.net.blackholes"),
+                        _ => {}
                     }
-                    let Ok(client) = conn else { continue };
-                    // Probe in the accept loop, not the handler thread:
-                    // occurrence order == accept order, which is what
-                    // makes the schedule a pure function of the seed.
-                    let toxic = plan.net_fault();
-                    schedule
-                        .lock()
-                        .unwrap()
-                        .push(toxic.map(|t| t.label().to_string()).unwrap_or_else(|| "pass".into()));
-                    if let Some(t) = toxic {
-                        obs.inc("serve.net.injected");
-                        match t {
-                            NetFault::Reset => obs.inc("serve.net.resets"),
-                            NetFault::Blackhole => obs.inc("serve.net.blackholes"),
-                            _ => {}
-                        }
-                    }
-                    let delay = plan.delay_duration();
-                    let stop = Arc::clone(&stop);
-                    std::thread::spawn(move || {
-                        let _ = handle(client, upstream, toxic, delay, &stop);
-                    });
                 }
-            })
+                let delay = plan.delay_duration();
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let _ = handle(client, upstream, toxic, delay, &stop);
+                });
+            })?
         };
         Ok(NetFaultProxy {
-            addr,
             plan,
             schedule,
             stop,
-            accept_thread: Some(accept_thread),
+            accept,
         })
     }
 
     /// The proxy's listen address — point clients here instead of at the
     /// upstream.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The fault plan driving this proxy (for `fired()` accounting).
@@ -144,14 +137,8 @@ impl NetFaultProxy {
     /// Stops the accept loop and joins it. Called on drop; explicit for
     /// tests that want deterministic teardown.
     pub fn stop(&mut self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Self-connect to unblock the accept loop.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.stop.store(true, Ordering::SeqCst);
+        self.accept.stop();
     }
 }
 

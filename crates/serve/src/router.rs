@@ -47,7 +47,7 @@ use ofd_core::{fnv1a64, FaultPlan, Obs};
 use serde_json::{json, Value};
 
 use crate::catalog::{content_fingerprint, Catalog};
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{read_request, AcceptLoop, HttpError, Request, Response};
 use crate::netfault::NET_COUNTERS;
 use crate::peers::PeerTimeouts;
 use crate::retry::{RetryPolicy, RETRIES_EXHAUSTED};
@@ -210,16 +210,14 @@ impl RouterShared {
 /// A running router; see the module docs for the topology.
 pub struct Router {
     shared: Arc<RouterShared>,
-    addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    accept: AcceptLoop,
+    prober: JoinHandle<()>,
 }
 
 impl Router {
     /// Binds the front listener and starts the accept and probe loops.
     pub fn bind(cfg: RouterConfig, fleet: Fleet) -> std::io::Result<Router> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let obs = cfg.obs.clone();
         for name in ROUTER_COUNTERS {
             obs.touch_counter(name);
@@ -241,33 +239,31 @@ impl Router {
             probe_states: Mutex::new(vec![SlotHealth::unknown(); slots]),
             cfg,
         });
-        let mut threads = Vec::with_capacity(2);
-        {
+        let prober = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ofd-router-accept".into())
-                    .spawn(move || accept_loop(listener, shared))?,
-            );
-        }
-        {
+            std::thread::Builder::new()
+                .name("ofd-router-probe".into())
+                .spawn(move || probe_loop(&shared))?
+        };
+        let accept = {
             let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ofd-router-probe".into())
-                    .spawn(move || probe_loop(&shared))?,
-            );
-        }
+            AcceptLoop::spawn(listener, "ofd-router-accept", move |stream| {
+                let shared = shared.clone();
+                let _ = std::thread::Builder::new()
+                    .name("ofd-router-conn".into())
+                    .spawn(move || handle_connection(stream, shared));
+            })?
+        };
         Ok(Router {
             shared,
-            addr,
-            threads,
+            accept,
+            prober,
         })
     }
 
     /// The bound front address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The router's metrics handle.
@@ -289,9 +285,8 @@ impl Router {
     /// supervisor and its workers.
     pub fn shutdown(mut self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+        self.accept.stop();
+        let _ = self.prober.join();
         if let Fleet::Supervised(s) = &self.shared.fleet {
             s.stop();
         }
@@ -459,23 +454,6 @@ fn reply_resumed(raw: &[u8]) -> bool {
 }
 
 // ------------------------------------------------------------ front loops
-
-fn accept_loop(listener: TcpListener, shared: Arc<RouterShared>) {
-    while !shared.stopping.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = shared.clone();
-                let _ = std::thread::Builder::new()
-                    .name("ofd-router-conn".into())
-                    .spawn(move || handle_connection(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
 
 /// Polls every worker's `/readyz` and records its `state` label; a slot
 /// that refuses the connection is `down`. The verdicts drive ring

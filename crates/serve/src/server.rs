@@ -19,7 +19,7 @@
 //! state survives in the per-job snapshot directories.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,7 +33,7 @@ use serde_json::{json, Value};
 
 use crate::breaker::{Admission, Breaker};
 use crate::catalog::{Catalog, CatalogError};
-use crate::http::{read_request, HttpError, Request, Response};
+use crate::http::{read_request, AcceptLoop, HttpError, Request, Response};
 use crate::jobs::{self, Endpoint, JobContext, JobError, ENDPOINTS, ENDPOINT_COUNT};
 use crate::stream::{StreamSessions, STREAM_COUNTERS};
 use crate::queue::{BoundedQueue, Full};
@@ -115,7 +115,7 @@ impl Default for ServeConfig {
 
 /// The `serve.*` counters pinned by the metrics schema test; touched at
 /// bind time so they are present (zero) in every `/metrics` document.
-pub const SERVE_COUNTERS: [&str; 18] = [
+pub const SERVE_COUNTERS: [&str; 19] = [
     "serve.requests",
     "serve.admitted",
     "serve.shed",
@@ -134,6 +134,7 @@ pub const SERVE_COUNTERS: [&str; 18] = [
     "serve.catalog.read_repaired",
     "serve.ship.served",
     "serve.ship.fetched",
+    "serve.client_disconnect",
 ];
 
 /// One queued job: everything the worker needs to run and answer it.
@@ -201,8 +202,8 @@ pub struct ServeSummary {
 /// threads detached, so call `shutdown` (tests and binaries all do).
 pub struct Server {
     shared: Arc<Shared>,
-    addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    accept: AcceptLoop,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -210,8 +211,6 @@ impl Server {
     /// running server. `/readyz` turns 200 as soon as this returns.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let obs = cfg.obs.clone();
         for name in SERVE_COUNTERS {
@@ -269,33 +268,38 @@ impl Server {
             cfg,
         });
 
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ofd-serve-accept".into())
-                    .spawn(move || accept_loop(listener, shared))?,
-            );
-        }
+        let mut worker_threads = Vec::with_capacity(workers);
         for i in 0..workers {
             let shared = shared.clone();
-            threads.push(
+            worker_threads.push(
                 std::thread::Builder::new()
                     .name(format!("ofd-serve-worker-{i}"))
                     .spawn(move || worker_loop(shared))?,
             );
         }
+        let accept = {
+            let shared = shared.clone();
+            // One short-lived thread per connection for the parse +
+            // admission stage only; heavy work happens in the fixed
+            // worker pool. A slow client therefore cannot stall the
+            // accept loop, and admission itself never blocks.
+            AcceptLoop::spawn(listener, "ofd-serve-accept", move |stream| {
+                let shared = shared.clone();
+                let _ = std::thread::Builder::new()
+                    .name("ofd-serve-conn".into())
+                    .spawn(move || handle_connection(stream, shared));
+            })?
+        };
         Ok(Server {
             shared,
-            addr,
-            threads,
+            accept,
+            workers: worker_threads,
         })
     }
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.accept.addr()
     }
 
     /// The server's metrics handle.
@@ -340,7 +344,8 @@ impl Server {
         }
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.queue.close();
-        for t in self.threads.drain(..) {
+        self.accept.stop();
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
         // Exact lookups: `counter_sum` is prefix-based and would fold the
@@ -358,27 +363,6 @@ impl Server {
 }
 
 // ------------------------------------------------------------ accept side
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stopping.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = shared.clone();
-                // One short-lived thread per connection for the parse +
-                // admission stage only; heavy work happens in the fixed
-                // worker pool. A slow client therefore cannot stall the
-                // accept loop, and admission itself never blocks.
-                let _ = std::thread::Builder::new()
-                    .name("ofd-serve-conn".into())
-                    .spawn(move || handle_connection(stream, shared));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
 
 fn retry_after_headers(resp: Response, hint: Duration) -> Response {
     let secs = hint.as_secs() + u64::from(hint.subsec_nanos() > 0);
@@ -825,7 +809,10 @@ fn worker_loop(shared: Arc<Shared>) {
 
 /// Watches the client socket while the engine runs; EOF means the client
 /// went away, and the guard is cancelled so the engine stops burning a
-/// worker slot on an answer nobody will read.
+/// worker slot on an answer nobody will read. At completion the worker
+/// sets `done` and shuts down the socket's read side, which returns the
+/// blocked read at once; the read timeout is only a fallback tick for
+/// platforms where that shutdown does not wake a blocked read.
 fn spawn_disconnect_watcher(
     job_stream: &TcpStream,
     guard: ExecGuard,
@@ -847,8 +834,13 @@ fn spawn_disconnect_watcher(
             while !done.load(Ordering::SeqCst) {
                 match watch.read(&mut buf) {
                     Ok(0) => {
-                        obs.inc("serve.client_disconnect");
-                        guard.cancel();
+                        // An EOF after `done` is the worker's own wake
+                        // (or a hang-up once the answer exists): the job
+                        // completed, nothing to cancel.
+                        if !done.load(Ordering::SeqCst) {
+                            obs.inc("serve.client_disconnect");
+                            guard.cancel();
+                        }
                         return;
                     }
                     // Unexpected extra bytes: ignore them, keep watching.
@@ -885,6 +877,9 @@ fn execute_job(mut job: Job, shared: &Arc<Shared>) {
     drop(span);
     done.store(true, Ordering::SeqCst);
     if let Some(w) = watcher {
+        // Wake the watcher's blocked read now, not at its next tick: the
+        // reply and this worker would otherwise wait for it.
+        let _ = job.stream.shutdown(Shutdown::Read);
         let _ = w.join();
     }
 

@@ -38,7 +38,7 @@ use ofd_discovery::{DiscoveryOptions, FastOfd};
 use ofd_ontology::{parse_ontology, Ontology};
 use serde_json::{json, Value};
 
-use crate::catalog::CatalogEntry;
+use crate::catalog::{keyed_content, CatalogEntry};
 use crate::jobs::{
     field, opt_f64, opt_str, opt_u64, parse_spec_list, required_str, JobContext, JobError,
     JobOutcome,
@@ -438,18 +438,12 @@ struct BaseRef<'a> {
 }
 
 impl BaseRef<'_> {
-    fn csv_text(&self) -> &str {
+    /// The key state after `"stream"` and the resolved texts; cataloged
+    /// texts are hashed once per entry, not per edit.
+    fn keyed(&self) -> Fingerprint {
         match (&self.entry, self.inline) {
-            (Some(e), _) => &e.csv,
-            (None, Some((csv, _))) => csv,
-            (None, None) => unreachable!("resolve_base always sets one source"),
-        }
-    }
-
-    fn onto_text(&self) -> &str {
-        match (&self.entry, self.inline) {
-            (Some(e), _) => &e.ontology,
-            (None, Some((_, onto))) => onto,
+            (Some(e), _) => e.keyed("stream"),
+            (None, Some((csv, onto))) => keyed_content("stream", csv, onto),
             (None, None) => unreachable!("resolve_base always sets one source"),
         }
     }
@@ -514,10 +508,7 @@ fn resolve_base<'a>(body: &'a Value, ctx: &JobContext) -> Result<BaseRef<'a>, Jo
             entry: None,
         }
     };
-    let mut fp = Fingerprint::new();
-    fp.update_str("stream");
-    fp.update_str(base.csv_text());
-    fp.update_str(base.onto_text());
+    let mut fp = base.keyed();
     fp.update_u64(opt_u64(body, "theta")?.map_or(u64::MAX, |t| t.wrapping_add(1)));
     if let Some(specs) = field(body, "ofds").and_then(Value::as_array) {
         fp.update_str("explicit");
@@ -917,6 +908,7 @@ fn run_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use ofd_core::{ExecGuard, FaultPlan, Validator};
     use ofd_datagen::csv;
 
@@ -1255,5 +1247,47 @@ mod tests {
         assert!(outcome.incomplete);
         assert_eq!(v.get("session"), Some(&Value::Null));
         assert!(c.sessions.is_empty(), "no partial-Σ session may exist");
+    }
+
+    /// A session id names persisted state: its `stream-*` checkpoint
+    /// directory, shipped snapshots and replica adoption all key on it.
+    /// The literal pins the key layout (a drift would orphan every
+    /// persisted session); the cataloged half pins that the memoized
+    /// per-entry hash and the inline hash agree.
+    #[test]
+    fn session_id_is_pinned_and_the_same_inline_and_cataloged() {
+        const CSV: &str = "CC,CTRY\nUS,United States\nUS,America\nCA,Canada\n";
+        const ONTO: &str = "ONTO v1\nI geo\nC - 0\tUnited States\tAmerica\nC - 0\tCanada\n";
+        const PINNED: &str = "stream-54489b68474a72f1";
+        let ops = [
+            ("ofds", json!(["CC->CTRY"])),
+            ("rows", json!([["CA", "Canada"]])),
+        ];
+        let session = |body: &Value, c: &JobContext| -> String {
+            let (v, _) = append(body, c).expect("append");
+            v.get("session")
+                .and_then(Value::as_str)
+                .expect("session id")
+                .to_string()
+        };
+
+        let inline = with_ops(&json!({"csv": CSV, "ontology": ONTO}), &ops);
+        assert_eq!(
+            session(&inline, &ctx()),
+            PINNED,
+            "inline session key layout"
+        );
+
+        let tmp = std::env::temp_dir().join("ofd-stream-pinned-key-test");
+        let _ = std::fs::remove_dir_all(&tmp);
+        let catalog = Catalog::open(tmp.join("catalog"), FaultPlan::none(), Obs::disabled());
+        catalog.put("geo", CSV, ONTO).expect("put");
+        let mut c = ctx();
+        c.catalog = Some(Arc::new(catalog));
+        let cataloged = with_ops(&json!({"dataset": "geo@1"}), &ops);
+        assert_eq!(session(&cataloged, &c), PINNED, "cataloged session key");
+        // Again from the memo, which the first cataloged touch filled.
+        assert_eq!(session(&cataloged, &c), PINNED, "memoized session key");
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 }

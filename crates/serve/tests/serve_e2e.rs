@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use ofd_datagen::{clinical, csv, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
-use ofd_serve::{ServeConfig, Server};
+use ofd_serve::{Fleet, Router, RouterConfig, ServeConfig, Server};
 use serde_json::{json, Value};
 
 // ------------------------------------------------------------ tiny client
@@ -536,6 +536,113 @@ fn client_disconnect_cancels_the_running_job() {
         std::thread::sleep(Duration::from_millis(25));
     }
     server.shutdown(Duration::from_secs(30));
+}
+
+#[test]
+fn completed_jobs_are_never_counted_as_client_disconnects() {
+    // Completion wakes the disconnect watcher by shutting down the
+    // socket's read side; the EOF that wake produces must read as
+    // "done", never as the client hanging up.
+    let ds = clinical(&PresetConfig {
+        n_rows: 3000,
+        n_attrs: 6,
+        n_ofds: 2,
+        seed: 11,
+        ..PresetConfig::default()
+    });
+    let schema = ds.clean.schema();
+    let specs: Vec<String> = ds
+        .ofds
+        .iter()
+        .map(|o| {
+            let lhs: Vec<&str> = o.lhs.iter().map(|a| schema.name(a)).collect();
+            format!("{}->{}", lhs.join(","), schema.name(o.rhs))
+        })
+        .collect();
+    let base = json!({
+        "csv": csv::write_csv(&ds.clean),
+        "ontology": ofd_ontology::write_ontology(&ds.full_ontology),
+        "ofds": specs,
+    });
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let addr = server.addr();
+    let jobs = 8;
+    for i in 0..jobs {
+        let validated = request(addr, "POST", "/v1/validate", Some(&base));
+        assert_eq!(validated.status, 200);
+        assert_eq!(
+            validated.body.get("status").and_then(Value::as_str),
+            Some("complete")
+        );
+        let mut append = base.clone();
+        if let Value::Object(fields) = &mut append {
+            fields.push(("rows".into(), json!([ds.clean.row_texts(i)])));
+        }
+        let appended = request(addr, "POST", "/v1/append", Some(&append));
+        assert_eq!(appended.status, 200);
+        assert_eq!(
+            appended.body.get("status").and_then(Value::as_str),
+            Some("complete")
+        );
+    }
+    let snap = server.obs().snapshot();
+    assert_eq!(snap.counter("serve.completed"), Some(2 * jobs as u64));
+    assert_eq!(
+        snap.counter("serve.client_disconnect"),
+        Some(0),
+        "no client hung up, so no job may be counted as abandoned"
+    );
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// Runs `teardown` on a helper thread and fails (instead of hanging the
+/// suite) when it does not return within `limit`.
+fn returns_within(limit: Duration, what: &str, teardown: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        teardown();
+        let _ = done.send(());
+    });
+    assert!(
+        finished.recv_timeout(limit).is_ok(),
+        "{what} did not return within {limit:?}"
+    );
+}
+
+#[test]
+fn idle_server_and_router_shut_down_promptly() {
+    // Accept loops block in `accept`; shutdown must wake them, including
+    // through loopback when the listener is bound to an unspecified
+    // address.
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Server::bind(ServeConfig {
+            addr: bind.into(),
+            ..ServeConfig::default()
+        })
+        .expect("bind server");
+        returns_within(
+            Duration::from_secs(2),
+            &format!("Server::shutdown on {bind}"),
+            move || {
+                server.shutdown(Duration::from_secs(5));
+            },
+        );
+        let router = Router::bind(
+            RouterConfig {
+                addr: bind.into(),
+                ..RouterConfig::default()
+            },
+            Fleet::Static(Vec::new()),
+        )
+        .expect("bind router");
+        returns_within(
+            Duration::from_secs(2),
+            &format!("Router::shutdown on {bind}"),
+            move || {
+                router.shutdown();
+            },
+        );
+    }
 }
 
 #[test]

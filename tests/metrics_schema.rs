@@ -202,6 +202,9 @@ fn serve_metrics_endpoint_matches_schema_v1_with_serve_counters_pinned() {
         "serve.net.resets",
         "serve.net.blackholes",
         "serve.net.retries_exhausted",
+        // Cooperative cancel: zero on a healthy scrape, so a job whose
+        // own completion reads as a hang-up shows up as a nonzero count.
+        "serve.client_disconnect",
     ] {
         assert!(names.iter().any(|n| n == name), "acceptance counter {name} missing");
     }
