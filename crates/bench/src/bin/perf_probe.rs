@@ -8,18 +8,18 @@
 //!
 //! The baseline holds one entry per named workload from
 //! [`ofd_datagen::named`] — `clinical-40k` (the long-standing
-//! single-threaded gate), `clinical-250k` (the sharded hybrid-pipeline
-//! smoke scale), `kiva-670k` and `synth-1m`. Each entry pins every
-//! result-affecting knob plus the perf knobs (`threads`, `sample_rounds`,
-//! `shards`) so the recorded wall time is comparable across commits, and
-//! records `host.cores` so cross-host numbers are never mistaken for
-//! same-host history.
+//! single-threaded gate), `clinical-250k` (the multi-threaded sampled
+//! pipeline smoke scale), `kiva-670k` and `synth-1m`. Each entry pins every
+//! result-affecting knob plus the perf knobs (`threads`, `sample_rounds`)
+//! so the recorded wall time is comparable across commits, and records
+//! `host.cores` so cross-host numbers are never mistaken for same-host
+//! history.
 //!
 //! Entries that measure a sequential reference (`sequential_wall_ms`) also
-//! record `speedup` — the plain sequential engine (threads=1, sampling and
-//! sharding off) against the entry's hybrid configuration, i.e. the
-//! *algorithmic* gain of the sampling/sharding pipeline, which is honest
-//! on a single-core host where thread-level gains cannot show.
+//! record `speedup` — the plain sequential engine (threads=1, sampling
+//! off) against the entry's hybrid configuration, i.e. the *algorithmic*
+//! gain of the sampled pipeline, which is honest on a single-core host
+//! where thread-level gains cannot show.
 //!
 //! `--check` re-runs every recorded entry (optionally filtered with
 //! `--only`) under its recorded knobs and fails when |Σ| drifts — a perf
@@ -42,7 +42,6 @@ struct EntryConfig {
     max_level: usize,
     threads: usize,
     sample_rounds: usize,
-    shards: usize,
     repeats: usize,
     /// Also measure the plain sequential engine and record the speedup.
     measure_sequential: bool,
@@ -53,7 +52,7 @@ struct EntryConfig {
 
 /// The recorded workload matrix. `clinical-40k` keeps the historical gate
 /// shape (single-threaded, default engine); the large entries exercise the
-/// hybrid sampling + sharding pipeline.
+/// sampled pipeline across four worker threads.
 fn plan() -> Vec<EntryConfig> {
     vec![
         EntryConfig {
@@ -62,7 +61,6 @@ fn plan() -> Vec<EntryConfig> {
             max_level: 4,
             threads: 1,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
-            shards: 0,
             repeats: 3,
             measure_sequential: true,
             budget_ms: None,
@@ -73,11 +71,6 @@ fn plan() -> Vec<EntryConfig> {
             max_level: 4,
             threads: 4,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
-            // Sampling alone already prunes ~99.9% of candidates here; the
-            // shard oracle's mini-lattices are worth their cost only when
-            // spare cores absorb them (see EXPERIMENTS.md), so the CI-gated
-            // entry keeps the phase off.
-            shards: 0,
             repeats: 2,
             measure_sequential: true,
             budget_ms: None, // derived from the measurement below
@@ -88,7 +81,6 @@ fn plan() -> Vec<EntryConfig> {
             max_level: 4,
             threads: 4,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
-            shards: 0,
             repeats: 1,
             measure_sequential: false,
             budget_ms: None,
@@ -99,7 +91,6 @@ fn plan() -> Vec<EntryConfig> {
             max_level: 4,
             threads: 4,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
-            shards: 8,
             repeats: 1,
             measure_sequential: false,
             budget_ms: None,
@@ -118,7 +109,6 @@ struct Knobs {
     max_level: usize,
     threads: usize,
     sample_rounds: usize,
-    shards: usize,
     repeats: usize,
 }
 
@@ -133,8 +123,7 @@ fn measure(ds: &Dataset, k: &Knobs) -> Measured {
                 DiscoveryOptions::new()
                     .max_level(k.max_level)
                     .threads(k.threads)
-                    .sample_rounds(k.sample_rounds)
-                    .shards(k.shards),
+                    .sample_rounds(k.sample_rounds),
             )
             .run();
         let wall_ms = start.elapsed().as_millis() as u64;
@@ -179,7 +168,6 @@ fn record_entry(e: &EntryConfig) -> Value {
         max_level: e.max_level,
         threads: e.threads,
         sample_rounds: e.sample_rounds,
-        shards: e.shards,
         repeats: e.repeats,
     };
     let m = measure(&ds, &knobs);
@@ -191,7 +179,6 @@ fn record_entry(e: &EntryConfig) -> Value {
             &Knobs {
                 threads: 1,
                 sample_rounds: 0,
-                shards: 0,
                 ..knobs
             },
         );
@@ -221,7 +208,6 @@ fn record_entry(e: &EntryConfig) -> Value {
         "max_level": e.max_level,
         "threads": e.threads,
         "sample_rounds": e.sample_rounds,
-        "shards": e.shards,
         "partition_cache_mib": ofd_discovery::DEFAULT_PARTITION_CACHE_MIB,
         "repeats": e.repeats,
         "wall_ms": m.wall_ms,
@@ -266,7 +252,6 @@ fn check_entry(
         max_level: field("max_level")? as usize,
         threads: field("threads")? as usize,
         sample_rounds: field("sample_rounds")? as usize,
-        shards: field("shards")? as usize,
         repeats: repeats_override.unwrap_or(field("repeats")? as usize),
     };
     let base_ms = field("wall_ms")?;

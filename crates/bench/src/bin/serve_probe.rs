@@ -934,6 +934,26 @@ fn worker_counter(addr: SocketAddr, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
+/// Ceiling on any one worker's final `serve.requests` in the `--peers` and
+/// `--chaos-net` soaks. At seed 42 the busiest worker ends at 74; a
+/// catalog read that asks back the peers that asked it (two mutual peers
+/// bouncing one unknown name) ends in the thousands.
+const MAX_WORKER_REQUESTS: u64 = 1_000;
+
+/// Fails the soak when any worker's `/metrics` (one document per worker
+/// in `worker_metrics`) shows more requests than [`MAX_WORKER_REQUESTS`].
+fn assert_no_request_storm(tag: &str, workers: usize, worker_metrics: &[Value]) {
+    assert_eq!(worker_metrics.len(), workers, "{tag}: every worker answered /metrics");
+    for (i, metrics) in worker_metrics.iter().enumerate() {
+        let served = counter(metrics, "serve.requests");
+        assert!(
+            served <= MAX_WORKER_REQUESTS,
+            "{tag}: worker {i} served {served} requests, over the bound of \
+             {MAX_WORKER_REQUESTS} (a peer request storm?)"
+        );
+    }
+}
+
 /// One SIGKILL-adoption trial: fire a by-reference discovery through the
 /// router, find the worker that admitted it by watching `serve.admitted`
 /// move, SIGKILL that owner mid-flight, and require the router to answer
@@ -1513,12 +1533,13 @@ fn phase_peer_fleet(args: &Args, metrics_out: Option<&Path>) {
     assert!(snap_count("serve.router.ring.ejected") >= 1, "ejection was counted");
     assert!(snap_count("serve.router.ring.readmitted") >= 1, "readmission was counted");
     assert!(snap_count("serve.router.retried") >= 1, "failover retried at least once");
+    let workers: Vec<Value> = worker_addrs
+        .iter()
+        .filter_map(|&a| try_request(a, "GET", "/metrics", None).ok().map(|r| r.body))
+        .collect();
+    assert_no_request_storm("phase peers", worker_addrs.len(), &workers);
 
     if let Some(path) = metrics_out {
-        let workers: Vec<Value> = worker_addrs
-            .iter()
-            .filter_map(|&a| try_request(a, "GET", "/metrics", None).ok().map(|r| r.body))
-            .collect();
         let doc = json!({
             "router": request(addr, "GET", "/metrics", None).body,
             "workers": workers,
@@ -1729,6 +1750,7 @@ fn chaos_net_pass(
         .iter()
         .filter_map(|&a| try_request(a, "GET", "/metrics", None).ok().map(|r| r.body))
         .collect();
+    assert_no_request_storm(&format!("phase chaos: [{tag}]"), worker_addrs.len(), &worker_metrics);
 
     router.shutdown();
     for proxy in &mut proxies {

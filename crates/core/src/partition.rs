@@ -261,71 +261,6 @@ impl StrippedPartition {
         StrippedPartition::of(rel, AttrSet::single(attr))
     }
 
-    /// Computes Π*_X restricted to the contiguous tuple range `rows` — the
-    /// per-shard inputs of sharded discovery. Tuple ids stay **global**, so
-    /// consequent columns index directly and range partitions compose with
-    /// [`StrippedPartition::product_with_scratch`] exactly like full ones
-    /// (out-of-range tuples behave as stripped singletons). `n_rows` remains
-    /// the full relation size; the range is clamped to it.
-    pub fn of_range(
-        rel: &Relation,
-        attrs: AttrSet,
-        rows: std::ops::Range<usize>,
-    ) -> StrippedPartition {
-        let n = rel.n_rows();
-        let rows = rows.start.min(n)..rows.end.min(n);
-        let len = rows.end.saturating_sub(rows.start);
-        let attr_list: Vec<AttrId> = attrs.iter().collect();
-        if attr_list.is_empty() {
-            // Π*_∅ over the range: one class holding every in-range tuple.
-            if len < 2 {
-                return StrippedPartition::empty(n);
-            }
-            return StrippedPartition {
-                tuples: (rows.start as u32..rows.end as u32).collect(),
-                offsets: vec![0, len as u32],
-                n_rows: n,
-            };
-        }
-        // Same dense group-id refinement as `Partition::of`, over the range
-        // only; positions are range-relative until the final offset shift.
-        let mut n_groups;
-        let mut group_of: Vec<u32> = {
-            let mut ids: FxHashMap<ValueId, u32> = FxHashMap::default();
-            let col = rel.column(attr_list[0]);
-            let out = col[rows.clone()]
-                .iter()
-                .map(|v| {
-                    let next = ids.len() as u32;
-                    *ids.entry(*v).or_insert(next)
-                })
-                .collect();
-            n_groups = ids.len();
-            out
-        };
-        for a in &attr_list[1..] {
-            let col = rel.column(*a);
-            let mut ids: FxHashMap<(u32, ValueId), u32> = FxHashMap::default();
-            for (t, g) in group_of.iter_mut().enumerate() {
-                let next = ids.len() as u32;
-                *g = *ids.entry((*g, col[rows.start + t])).or_insert(next);
-            }
-            n_groups = ids.len();
-        }
-        let (mut tuples, offsets) = csr_from_group_ids(&group_of, n_groups);
-        // Back to global tuple ids; ascending order within classes and the
-        // representative ordering across classes survive the uniform shift.
-        for t in &mut tuples {
-            *t += rows.start as u32;
-        }
-        Partition {
-            tuples,
-            offsets,
-            n_rows: n,
-        }
-        .into_stripped()
-    }
-
     /// Builds Π* from explicit classes (used by lhs-synonym merging, which
     /// coarsens a partition outside any attribute set). Classes are
     /// canonicalized: members sorted ascending, singletons dropped, classes
@@ -549,66 +484,6 @@ mod tests {
         let cc = rel.schema().attr("CC").unwrap();
         let p = StrippedPartition::of_attr(&rel, cc);
         (rel, p)
-    }
-
-    #[test]
-    fn of_range_full_range_equals_of() {
-        let rel = table1();
-        let n = rel.schema().len();
-        for bits in 0..(1u64 << n.min(4)) {
-            let attrs = AttrSet::from_bits(bits);
-            assert_eq!(
-                StrippedPartition::of_range(&rel, attrs, 0..rel.n_rows()),
-                StrippedPartition::of(&rel, attrs),
-                "attrs bits {bits:#b}"
-            );
-        }
-    }
-
-    #[test]
-    fn of_range_keeps_global_tuple_ids_and_clamps() {
-        let rel = table1();
-        let cc = AttrSet::single(rel.schema().attr("CC").unwrap());
-        let sp = StrippedPartition::of_range(&rel, cc, 3..rel.n_rows());
-        for class in sp.classes() {
-            assert!(class.iter().all(|&t| (3..rel.n_rows() as u32).contains(&t)));
-            assert!(class.windows(2).all(|w| w[0] < w[1]), "ascending members");
-        }
-        // Out-of-bounds and degenerate ranges behave like empty partitions.
-        let far = StrippedPartition::of_range(&rel, cc, rel.n_rows()..rel.n_rows() + 5);
-        assert!(far.is_superkey());
-        assert_eq!(far.n_rows(), rel.n_rows());
-        let empty_attrs = StrippedPartition::of_range(&rel, AttrSet::empty(), 2..3);
-        assert!(empty_attrs.is_superkey(), "a 1-row range strips to nothing");
-    }
-
-    #[test]
-    fn of_range_products_compose_like_full_partitions() {
-        // Π*_X|range · Π*_Y|range must equal Π*_{X∪Y}|range: out-of-range
-        // tuples are absent from both operands, exactly as stripped
-        // singletons are, so the TANE product stays closed over ranges.
-        let rel = table1();
-        let schema = rel.schema();
-        let ranges = [0..5usize, 2..9, 5..rel.n_rows(), 0..rel.n_rows()];
-        let pairs = [
-            (["CC"].as_slice(), ["SYMP"].as_slice()),
-            (&["SYMP"], &["DIAG"]),
-            (&["CC", "SYMP"], &["TEST"]),
-        ];
-        let mut scratch = ProductScratch::default();
-        for range in &ranges {
-            for (xs, ys) in &pairs {
-                let x = schema.set(xs.iter().copied()).unwrap();
-                let y = schema.set(ys.iter().copied()).unwrap();
-                let px = StrippedPartition::of_range(&rel, x, range.clone());
-                let py = StrippedPartition::of_range(&rel, y, range.clone());
-                assert_eq!(
-                    px.product_with_scratch(&py, &mut scratch),
-                    StrippedPartition::of_range(&rel, x.union(y), range.clone()),
-                    "range {range:?}, X={xs:?}, Y={ys:?}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -169,8 +169,8 @@ pub type PresetFn = fn(&PresetConfig) -> Dataset;
 /// means the same schema, scale and seed:
 ///
 /// * `clinical-40k` — the long-standing perf-smoke gate workload;
-/// * `clinical-250k` — quarter-million-row clinical, the sharded-pipeline
-///   smoke scale;
+/// * `clinical-250k` — quarter-million-row clinical, the multi-threaded
+///   sampled-pipeline smoke scale;
 /// * `kiva-670k` — Kiva-loans-style at the paper's real dataset size
 ///   (§7: 670K loans);
 /// * `synth-1m` — the million-row stress workload (clinical schema,

@@ -27,7 +27,6 @@ use crate::cache::PartitionCache;
 use crate::checkpoint;
 use crate::options::DiscoveryOptions;
 use crate::sample;
-use crate::shard::{self, ShardCovers, ShardPlan};
 use crate::stats::{DiscoveryStats, LevelStats};
 
 /// One minimal OFD emitted by discovery.
@@ -301,30 +300,26 @@ impl<'a> FastOfd<'a> {
         // candidate decision; panics are caught, never propagated.
         let faults = &self.opts.faults;
 
-        // Hybrid pre-filter phases (sampling + shards). Both stages are
-        // pure *refutation oracles* for the exact path: a positive answer
-        // is a sound "fails on the full relation" verdict, the absence of
-        // one proves nothing, and surviving candidates still pay for the
-        // exact check — which is why Σ, supports and per-level stats are
-        // byte-identical with the phases on or off (the result-neutrality
-        // contract enforced by the differential tests). Neither phase runs
-        // for κ < 1: a sub-relation violation does not refute an
-        // approximate candidate.
+        // Evidence sampling is a pure *refutation oracle* for the exact
+        // path: a positive answer is a sound "fails on the full relation"
+        // verdict, the absence of one proves nothing, and surviving
+        // candidates still pay for the exact check — which is why Σ,
+        // supports and per-level stats are byte-identical with sampling on
+        // or off (the result-neutrality contract enforced by the
+        // differential tests). It never runs for κ < 1: a violating pair
+        // does not refute an approximate candidate.
         if obs.is_enabled() {
             for name in [
                 "discovery.sample.rounds",
                 "discovery.sample.evidence_pairs",
                 "discovery.sample.candidates_pruned",
-                "discovery.shard.shards",
-                "discovery.shard.merged_candidates",
-                "discovery.shard.candidates_pruned",
-                "discovery.shard.union_validated",
             ] {
                 obs.touch_counter(name);
             }
         }
-        let run_phases = exact && start_level <= max_level;
-        let evidence: Option<EvidenceSet> = (run_phases && self.opts.sample_rounds > 0)
+        let evidence: Option<EvidenceSet> = (exact
+            && start_level <= max_level
+            && self.opts.sample_rounds > 0)
             .then(|| {
                 let _span = obs.span("fastofd.sample");
                 let out =
@@ -339,42 +334,15 @@ impl<'a> FastOfd<'a> {
                 out.evidence
             })
             .filter(|e| !e.is_empty());
-        let n_shards = if run_phases {
-            self.opts.effective_shards(self.rel.n_rows())
-        } else {
-            0
-        };
-        let shard_covers: Option<ShardCovers> = (n_shards > 1)
-            .then(|| {
-                let _span = obs.span("fastofd.shards");
-                let plan = ShardPlan {
-                    n_shards,
-                    threads: self.opts.threads.max(1),
-                    max_level,
-                    target_rhs: self.opts.target_rhs,
-                    kind: self.opts.kind,
-                };
-                let covers = shard::discover_shards(self.rel, &index, &plan, guard);
-                if obs.is_enabled() {
-                    obs.add("discovery.shard.shards", covers.completed as u64);
-                    obs.add(
-                        "discovery.shard.merged_candidates",
-                        covers.merged_candidates(),
-                    );
-                }
-                covers
-            })
-            .filter(|c| c.completed > 0);
-        // Lazy partition mode: with a refutation oracle active (and the
-        // cache available to materialize on demand), `next_level` stops
-        // producing partitions eagerly — most candidates die on the oracles
+        // Lazy partition mode: with the sample oracle active (and the cache
+        // available to materialize on demand), `next_level` stops producing
+        // partitions eagerly — most candidates die on sampled evidence
         // alone, so only antecedents of *surviving* candidates are ever
         // materialized. Partition products dominate discovery cost at
-        // scale, which makes this deferral the hybrid pipeline's wall-clock
-        // win; it is result-neutral because the cache produces canonical
-        // partitions whichever route computes them.
-        let lazy_partitions =
-            (evidence.is_some() || shard_covers.is_some()) && cache.is_some();
+        // scale, which makes this deferral the sampled pipeline's
+        // wall-clock win; it is result-neutral because the cache produces
+        // canonical partitions whichever route computes them.
+        let lazy_partitions = evidence.is_some() && cache.is_some();
 
         for level in start_level..=max_level {
             // Per-level checkpoint: never start building a level once a
@@ -473,7 +441,7 @@ impl<'a> FastOfd<'a> {
             ls.candidates = jobs.len();
 
             // Partition-free pre-decisions: Opt-4 logic subsumption, then
-            // the hybrid refutation oracles. Deciding these before
+            // the sample refutation oracle. Deciding these before
             // partition resolution means (in lazy mode) refuted candidates
             // never force a materialization. Soundness keeps attribution
             // honest: a superkey antecedent implies a valid candidate,
@@ -487,7 +455,7 @@ impl<'a> FastOfd<'a> {
                         rhs: a,
                         kind: self.opts.kind,
                     };
-                    self.precheck(&ofd, &known, exact, evidence.as_ref(), shard_covers.as_ref())
+                    self.precheck(&ofd, &known, evidence.as_ref())
                 })
                 .collect();
 
@@ -621,8 +589,6 @@ impl<'a> FastOfd<'a> {
             }
 
             let mut sample_pruned: u64 = 0;
-            let mut shard_pruned: u64 = 0;
-            let mut union_validated: u64 = 0;
             for (&(ni, a, lhs, _), decision) in jobs.iter().zip(decisions.iter()) {
                 let &Some((valid, support, how)) = decision else {
                     continue;
@@ -630,21 +596,10 @@ impl<'a> FastOfd<'a> {
                 match how {
                     Decision::KeyShortcut => ls.key_shortcuts += 1,
                     Decision::FdShortcut => ls.fd_shortcuts += 1,
-                    Decision::Verified => {
-                        ls.verified += 1;
-                        if shard_covers.is_some() {
-                            // Survived the merged shard covers and was
-                            // validated against the full union of rows.
-                            union_validated += 1;
-                        }
-                    }
+                    Decision::Verified => ls.verified += 1,
                     Decision::SampleRefuted => {
                         ls.verified += 1;
                         sample_pruned += 1;
-                    }
-                    Decision::ShardRefuted => {
-                        ls.verified += 1;
-                        shard_pruned += 1;
                     }
                 }
                 if valid {
@@ -717,8 +672,6 @@ impl<'a> FastOfd<'a> {
                 obs.add("discovery.prune.opt3.key_shortcuts", ls.key_shortcuts as u64);
                 obs.add("discovery.prune.opt4.fd_shortcuts", ls.fd_shortcuts as u64);
                 obs.add("discovery.sample.candidates_pruned", sample_pruned);
-                obs.add("discovery.shard.candidates_pruned", shard_pruned);
-                obs.add("discovery.shard.union_validated", union_validated);
             }
             stats.levels.push(ls);
             // Level-boundary checkpoint. Written only when no interrupt
@@ -854,7 +807,7 @@ impl<'a> FastOfd<'a> {
                         continue;
                     }
                     if lazy {
-                        // Hybrid mode: defer the product. Π*_X is produced
+                        // Lazy mode: defer the product. Π*_X is produced
                         // through the cache only if a surviving candidate
                         // ever needs it; `superkey: false` just means
                         // "unknown" — the data path re-checks on the
@@ -905,21 +858,20 @@ impl<'a> FastOfd<'a> {
     }
 
     /// Decides a candidate without touching any partition, when possible:
-    /// Opt-4 logic subsumption first, then the hybrid refutation oracles.
+    /// Opt-4 logic subsumption first, then the sample refutation oracle.
     ///
     /// Runs before partition resolution so that, in lazy mode, a
     /// pre-decided candidate never forces a materialization. Ordering
-    /// Opt-4 ahead of the oracles keeps Σ byte-identical with the phases
-    /// off even when `known_fds` do not actually hold on the instance (an
+    /// Opt-4 ahead of the oracle keeps Σ byte-identical with sampling off
+    /// even when `known_fds` do not actually hold on the instance (an
     /// FD-implied candidate is emitted either way, as Opt-4's contract
-    /// dictates, instead of being data-refuted by an oracle first).
+    /// dictates, instead of being data-refuted by the sample first).
+    /// `evidence` is only ever gathered for exact discovery.
     fn precheck(
         &self,
         ofd: &Ofd,
         known: &[Dependency],
-        exact: bool,
         evidence: Option<&EvidenceSet>,
-        shards: Option<&ShardCovers>,
     ) -> Option<(bool, f64, Decision)> {
         // Opt-4: FD subsumption — an OFD implied by FDs that hold exactly
         // needs no data verification.
@@ -929,24 +881,13 @@ impl<'a> FastOfd<'a> {
                 return Some((true, 1.0, Decision::FdShortcut));
             }
         }
-        if exact {
-            // Hybrid pre-filter oracles, consulted strictly before the
-            // full-relation scan they exist to avoid. Either refutation is
-            // sound on the full relation, and the `(false, 1.0, _)` shape
-            // matches what the exact check would have returned for the
-            // same candidate.
-            if let Some(ev) = evidence {
-                if ev.refutes(ofd.lhs, ofd.rhs) {
-                    return Some((false, 1.0, Decision::SampleRefuted));
-                }
-            }
-            if let Some(sc) = shards {
-                if sc.refutes(ofd.lhs, ofd.rhs) {
-                    return Some((false, 1.0, Decision::ShardRefuted));
-                }
-            }
-        }
-        None
+        // The sample oracle, consulted strictly before the full-relation
+        // scan it exists to avoid. A refutation is sound on the full
+        // relation, and the `(false, 1.0, _)` shape matches what the exact
+        // check would have returned for the same candidate.
+        evidence
+            .filter(|ev| ev.refutes(ofd.lhs, ofd.rhs))
+            .map(|_| (false, 1.0, Decision::SampleRefuted))
     }
 
     /// Decides one candidate against the data: (valid?, support, how).
@@ -982,10 +923,10 @@ impl<'a> FastOfd<'a> {
 
 /// How one candidate was decided (stats bookkeeping).
 ///
-/// The two refutation variants are data-decided negatives, so they count
+/// [`Decision::SampleRefuted`] is a data-decided negative, so it counts
 /// into [`LevelStats::verified`] exactly like [`Decision::Verified`] — the
-/// per-level stats are part of the result-neutrality contract. They exist
-/// as distinct variants only for the prune-attribution counters.
+/// per-level stats are part of the result-neutrality contract. It exists
+/// as a distinct variant only for the prune-attribution counters.
 #[derive(Debug, Clone, Copy)]
 enum Decision {
     KeyShortcut,
@@ -993,8 +934,6 @@ enum Decision {
     Verified,
     /// Refuted by a sampled evidence pair (no full scan).
     SampleRefuted,
-    /// Refuted by a completed shard's minimal cover (no full scan).
-    ShardRefuted,
 }
 
 /// Raw-pointer wrapper so disjoint slots can be written from scoped worker

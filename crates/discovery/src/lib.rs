@@ -37,7 +37,6 @@ mod checkpoint;
 mod fastofd;
 mod options;
 mod sample;
-mod shard;
 mod stats;
 
 pub use brute::{brute_force, brute_force_guarded};
@@ -268,65 +267,57 @@ mod tests {
 
     #[test]
     fn hybrid_pipeline_is_result_neutral() {
-        // The tentpole contract: sampling and sharding are refutation
-        // oracles only, so Σ — including raw support bits — and the
-        // per-level stats are byte-identical with the pipeline on or off,
-        // at any shard count, thread count and sampling depth.
+        // The tentpole contract: sampling is a refutation oracle only, so
+        // Σ — including raw support bits — and the per-level stats are
+        // byte-identical with the pipeline on or off, at any thread count
+        // and sampling depth.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let reference = FastOfd::new(&rel, &onto)
-            .options(DiscoveryOptions::new().sample_rounds(0).shards(0))
+            .options(DiscoveryOptions::new().sample_rounds(0))
             .run();
-        for shards in [1usize, 2, 7] {
-            for threads in [1usize, 4] {
-                for rounds in [0usize, 3] {
-                    let run = FastOfd::new(&rel, &onto)
-                        .options(
-                            DiscoveryOptions::new()
-                                .sample_rounds(rounds)
-                                .shards(shards)
-                                .threads(threads),
-                        )
-                        .run();
-                    let tag = format!("shards={shards} threads={threads} rounds={rounds}");
-                    assert_eq!(run.ofds, reference.ofds, "{tag}: Σ diverged");
-                    for (a, b) in run.ofds.iter().zip(&reference.ofds) {
-                        assert_eq!(
-                            a.support.to_bits(),
-                            b.support.to_bits(),
-                            "{tag}: support bits diverged"
-                        );
-                    }
-                    assert_eq!(run.stats.levels.len(), reference.stats.levels.len(), "{tag}");
-                    for (l, r) in run.stats.levels.iter().zip(&reference.stats.levels) {
-                        assert_eq!(
-                            (l.nodes, l.candidates, l.verified, l.key_shortcuts,
-                             l.fd_shortcuts, l.found, l.pruned_nodes),
-                            (r.nodes, r.candidates, r.verified, r.key_shortcuts,
-                             r.fd_shortcuts, r.found, r.pruned_nodes),
-                            "{tag}: level {} stats diverged",
-                            l.level
-                        );
-                    }
+        for threads in [1usize, 4] {
+            for rounds in [0usize, 3] {
+                let run = FastOfd::new(&rel, &onto)
+                    .options(
+                        DiscoveryOptions::new()
+                            .sample_rounds(rounds)
+                            .threads(threads),
+                    )
+                    .run();
+                let tag = format!("threads={threads} rounds={rounds}");
+                assert_eq!(run.ofds, reference.ofds, "{tag}: Σ diverged");
+                for (a, b) in run.ofds.iter().zip(&reference.ofds) {
+                    assert_eq!(
+                        a.support.to_bits(),
+                        b.support.to_bits(),
+                        "{tag}: support bits diverged"
+                    );
+                }
+                assert_eq!(run.stats.levels.len(), reference.stats.levels.len(), "{tag}");
+                for (l, r) in run.stats.levels.iter().zip(&reference.stats.levels) {
+                    assert_eq!(
+                        (l.nodes, l.candidates, l.verified, l.key_shortcuts,
+                         l.fd_shortcuts, l.found, l.pruned_nodes),
+                        (r.nodes, r.candidates, r.verified, r.key_shortcuts,
+                         r.fd_shortcuts, r.found, r.pruned_nodes),
+                        "{tag}: level {} stats diverged",
+                        l.level
+                    );
                 }
             }
         }
-        // `shard_rows` is the other spelling of the same request.
-        let by_rows = FastOfd::new(&rel, &onto)
-            .options(DiscoveryOptions::new().shard_rows(3))
-            .run();
-        assert_eq!(by_rows.ofds, reference.ofds);
     }
 
     #[test]
     fn hybrid_pipeline_prunes_and_counts_on_table1() {
-        // The oracles must actually fire on Table 1 (most candidates fail)
-        // and be attributed in the prune counters.
+        // The sample oracle must actually fire on Table 1 (most candidates
+        // fail) and be attributed in the prune counters.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let obs = ofd_core::Obs::enabled();
         let run = FastOfd::new(&rel, &onto)
-            .options(DiscoveryOptions::new().shards(2).obs(obs.clone()))
+            .options(DiscoveryOptions::new().obs(obs.clone()))
             .run();
         assert!(run.complete);
         let m = obs.snapshot();
@@ -335,25 +326,20 @@ mod tests {
             Some(DEFAULT_SAMPLE_ROUNDS as u64)
         );
         assert!(m.counter("discovery.sample.evidence_pairs").unwrap_or(0) > 0);
-        assert_eq!(m.counter("discovery.shard.shards"), Some(2));
-        assert!(m.counter("discovery.shard.merged_candidates").unwrap_or(0) > 0);
-        let pruned = m.counter("discovery.sample.candidates_pruned").unwrap_or(0)
-            + m.counter("discovery.shard.candidates_pruned").unwrap_or(0);
-        assert!(pruned > 0, "oracles refuted no candidate at all: {m:?}");
-        // Refuted candidates and union-validated survivors partition the
-        // data-decided verifications.
+        let pruned = m.counter("discovery.sample.candidates_pruned").unwrap_or(0);
+        assert!(pruned > 0, "the sampler refuted no candidate at all: {m:?}");
+        // Refuted candidates are a subset of the data-decided verifications.
         let verified: u64 = run.stats.levels.iter().map(|l| l.verified as u64).sum();
-        assert_eq!(
-            m.counter("discovery.shard.union_validated").unwrap_or(0) + pruned,
-            verified,
-            "prune attribution must cover every data-decided candidate"
+        assert!(
+            pruned <= verified,
+            "sample refutations ({pruned}) exceed data-decided candidates ({verified})"
         );
     }
 
     #[test]
     fn approx_mode_ignores_hybrid_knobs() {
-        // κ < 1: a violation on a sub-relation does not refute an
-        // approximate candidate, so neither phase may run at all.
+        // κ < 1: a violating pair does not refute an approximate
+        // candidate, so sampling may not run at all.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let obs = ofd_core::Obs::enabled();
@@ -363,14 +349,12 @@ mod tests {
             DiscoveryOptions::new()
                 .min_support(0.8)
                 .sample_rounds(5)
-                .shards(4)
                 .obs(obs.clone()),
         );
         let plain = discover(&rel, &onto, DiscoveryOptions::new().min_support(0.8));
         assert_eq!(hybrid, plain);
         let m = obs.snapshot();
         assert_eq!(m.counter("discovery.sample.rounds"), Some(0));
-        assert_eq!(m.counter("discovery.shard.shards"), Some(0));
     }
 
     #[test]
@@ -604,10 +588,10 @@ mod tests {
 
     #[test]
     fn resume_accepts_changed_hybrid_knobs() {
-        // Sampling/sharding knobs are excluded from the checkpoint
-        // fingerprint (they are result-neutral), so a snapshot written by
-        // a sequential run resumes under a hybrid configuration — and
-        // completes to the identical Σ.
+        // The sampling knob is excluded from the checkpoint fingerprint
+        // (it is result-neutral), so a snapshot written by an unsampled
+        // run resumes under a sampled configuration — and completes to the
+        // identical Σ.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let reference = FastOfd::new(&rel, &onto).run();
@@ -628,7 +612,6 @@ mod tests {
             .options(
                 DiscoveryOptions::new()
                     .sample_rounds(4)
-                    .shards(3)
                     .checkpoint(CheckpointOptions::new(&dir).resume(true)),
             )
             .run();
@@ -781,23 +764,18 @@ mod tests {
             }
         }
 
-        /// Sampled + sharded runs agree with the plain sequential engine on
-        /// Σ over random instances, shard counts and thread counts (the
-        /// hybrid-pipeline result-neutrality contract).
+        /// Sampled runs agree with the plain sequential engine on Σ over
+        /// random instances and thread counts (the hybrid-pipeline
+        /// result-neutrality contract).
         #[test]
         fn hybrid_fastofd_equals_sequential(
-            ((rel, onto), shards, threads) in (arb_instance(), 1usize..8, 1usize..5)
+            ((rel, onto), threads) in (arb_instance(), 1usize..5)
         ) {
             let sequential = FastOfd::new(&rel, &onto)
-                .options(DiscoveryOptions::new().sample_rounds(0).shards(0))
+                .options(DiscoveryOptions::new().sample_rounds(0))
                 .run();
             let hybrid = FastOfd::new(&rel, &onto)
-                .options(
-                    DiscoveryOptions::new()
-                        .sample_rounds(3)
-                        .shards(shards)
-                        .threads(threads),
-                )
+                .options(DiscoveryOptions::new().sample_rounds(3).threads(threads))
                 .run();
             prop_assert_eq!(&hybrid.ofds, &sequential.ofds);
         }

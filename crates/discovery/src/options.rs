@@ -80,19 +80,6 @@ pub struct DiscoveryOptions {
     /// any round count (and the knob is excluded from the checkpoint
     /// fingerprint). `0` disables sampling.
     pub sample_rounds: usize,
-    /// Rows per discovery shard; the shard count is derived as
-    /// `ceil(n_rows / shard_rows)` when [`DiscoveryOptions::shards`] is 0.
-    /// Both 0 (the default) disables sharding.
-    pub shard_rows: usize,
-    /// Number of row shards for the pre-filter discovery phase (exact
-    /// discovery only). Each shard's complete minimal cover is computed on
-    /// its row range by the worker pool; a candidate failing on any shard
-    /// is refuted without a full-relation scan, and survivors are still
-    /// verified against the full relation. Result-neutral and excluded from
-    /// the checkpoint fingerprint, like
-    /// [`DiscoveryOptions::partition_cache_mib`]. Takes precedence over
-    /// [`DiscoveryOptions::shard_rows`] when non-zero; `0` defers to it.
-    pub shards: usize,
     /// Byte budget (MiB) of the partition cache retaining computed Π*_X
     /// across lattice levels with LRU eviction; `0` disables the cache and
     /// restores node-owned partitions with fixed parent-pair products.
@@ -108,8 +95,7 @@ pub const DEFAULT_PARTITION_CACHE_MIB: usize = 256;
 
 /// Default [`DiscoveryOptions::sample_rounds`]: two sorted-neighbourhood
 /// passes prune the bulk of failing candidates at a cost linear in the
-/// relation, so sampling is on by default (sharding stays opt-in — its
-/// payoff needs either multiple worker threads or very wide instances).
+/// relation, so sampling is on by default.
 pub const DEFAULT_SAMPLE_ROUNDS: usize = 2;
 
 impl Default for DiscoveryOptions {
@@ -129,8 +115,6 @@ impl Default for DiscoveryOptions {
             checkpoint: None,
             faults: FaultPlan::none(),
             sample_rounds: DEFAULT_SAMPLE_ROUNDS,
-            shard_rows: 0,
-            shards: 0,
             partition_cache_mib: DEFAULT_PARTITION_CACHE_MIB,
         }
     }
@@ -229,35 +213,6 @@ impl DiscoveryOptions {
         self
     }
 
-    /// Sets the rows-per-shard target for the pre-filter discovery phase
-    /// (used when [`DiscoveryOptions::shards`] is 0). Result-neutral.
-    pub fn shard_rows(mut self, rows: usize) -> Self {
-        self.shard_rows = rows;
-        self
-    }
-
-    /// Sets the shard count for the pre-filter discovery phase (`0` derives
-    /// it from [`DiscoveryOptions::shard_rows`]; both 0 disables sharding).
-    /// Result-neutral.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
-    /// The shard count this configuration resolves to over `n_rows` tuples:
-    /// `shards` when set, else derived from `shard_rows`, clamped so every
-    /// shard holds at least one row.
-    pub(crate) fn effective_shards(&self, n_rows: usize) -> usize {
-        let k = if self.shards > 0 {
-            self.shards
-        } else if self.shard_rows > 0 {
-            n_rows.div_ceil(self.shard_rows)
-        } else {
-            0
-        };
-        k.min(n_rows)
-    }
-
     /// Sets the verification thread count.
     pub fn threads(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one thread");
@@ -288,25 +243,6 @@ mod tests {
         assert_eq!(o.threads, 1);
         assert_eq!(o.partition_cache_mib, DEFAULT_PARTITION_CACHE_MIB);
         assert_eq!(o.sample_rounds, DEFAULT_SAMPLE_ROUNDS);
-        assert_eq!((o.shard_rows, o.shards), (0, 0), "sharding is opt-in");
-    }
-
-    #[test]
-    fn effective_shards_resolves_and_clamps() {
-        let o = DiscoveryOptions::new();
-        assert_eq!(o.effective_shards(1_000), 0, "off by default");
-        assert_eq!(DiscoveryOptions::new().shards(4).effective_shards(1_000), 4);
-        assert_eq!(
-            DiscoveryOptions::new().shard_rows(300).effective_shards(1_000),
-            4,
-            "ceil(1000/300)"
-        );
-        // `shards` wins over `shard_rows` when both are set.
-        let both = DiscoveryOptions::new().shards(2).shard_rows(10);
-        assert_eq!(both.effective_shards(1_000), 2);
-        // Never more shards than rows.
-        assert_eq!(DiscoveryOptions::new().shards(64).effective_shards(3), 3);
-        assert_eq!(DiscoveryOptions::new().shards(4).effective_shards(0), 0);
     }
 
     #[test]

@@ -480,6 +480,16 @@ impl Catalog {
     /// read, and a version confirmed torn is skipped in favour of the
     /// next older one — a torn version is never readable.
     pub fn resolve(&self, reference: &str) -> Result<Arc<CatalogEntry>, CatalogError> {
+        self.resolve_with(reference, true)
+    }
+
+    /// [`Catalog::resolve`], asking the peers for the newest version of a
+    /// bare name with no local version only when `ask_peers` is set.
+    fn resolve_with(
+        &self,
+        reference: &str,
+        ask_peers: bool,
+    ) -> Result<Arc<CatalogEntry>, CatalogError> {
         let (name, version) = parse_reference(reference)?;
         match version {
             Some(v) => self.resolve_version(name, v)?.ok_or_else(|| {
@@ -495,9 +505,12 @@ impl Catalog {
                     // simply have missed the quorum write — ask the
                     // peers what the newest version is before declaring
                     // unknown.
-                    let v = self.newest_on_peers(name).ok_or_else(|| {
-                        CatalogError::BadRequest(format!("unknown dataset {name:?}"))
-                    })?;
+                    let v = ask_peers
+                        .then(|| self.newest_on_peers(name))
+                        .flatten()
+                        .ok_or_else(|| {
+                            CatalogError::BadRequest(format!("unknown dataset {name:?}"))
+                        })?;
                     return self.resolve_version(name, v)?.ok_or_else(|| {
                         CatalogError::BadRequest(format!("unknown dataset {name:?}"))
                     });
@@ -628,8 +641,11 @@ impl Catalog {
 
     /// Metadata for `GET /v1/datasets/{name}` — never the row payload;
     /// clients that want the data reference it from a job instead.
-    pub fn describe(&self, reference: &str) -> Result<Value, CatalogError> {
-        let entry = self.resolve(reference)?;
+    /// `from_peer` marks a describe sent by another fleet process: it is
+    /// answered from this replica's versions only, never by asking the
+    /// peers in turn.
+    pub fn describe(&self, reference: &str, from_peer: bool) -> Result<Value, CatalogError> {
+        let entry = self.resolve_with(reference, !from_peer)?;
         let versions = self
             .store
             .versions(&entry.name)
@@ -829,7 +845,7 @@ mod tests {
         let c = catalog(&dir);
         let (csv_text, onto_text) = sample();
         c.put("meta", &csv_text, &onto_text).expect("put");
-        let d = c.describe("meta").expect("describe");
+        let d = c.describe("meta", false).expect("describe");
         assert_eq!(d.get("name").and_then(Value::as_str), Some("meta"));
         assert_eq!(d.get("version").and_then(Value::as_u64), Some(1));
         assert_eq!(d.get("n_rows").and_then(Value::as_u64), Some(60));

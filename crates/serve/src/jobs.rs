@@ -468,18 +468,12 @@ fn discover(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
         }
         opts = opts.threads(threads as usize);
     }
-    // Hybrid pre-filter knobs. All three are result-neutral (the engine's
-    // differential contract), so — like `threads` — they stay out of the
-    // job fingerprint: a resubmission tuned differently still resumes the
-    // same job's snapshots.
+    // Tuning knobs. Both are result-neutral (the engine's differential
+    // contract), so — like `threads` — they stay out of the job
+    // fingerprint: a resubmission tuned differently still resumes the same
+    // job's snapshots.
     if let Some(rounds) = opt_u64(body, "sample_rounds")? {
         opts = opts.sample_rounds(rounds as usize);
-    }
-    if let Some(rows) = opt_u64(body, "shard_rows")? {
-        opts = opts.shard_rows(rows as usize);
-    }
-    if let Some(shards) = opt_u64(body, "shards")? {
-        opts = opts.shards(shards as usize);
     }
     if let Some(mib) = opt_u64(body, "partition_cache_mib")? {
         opts = opts.partition_cache_mib(mib as usize);

@@ -23,6 +23,13 @@ use serde_json::Value;
 
 use crate::retry::RetryPolicy;
 
+/// Header stamped on every request one fleet process sends another
+/// ([`peer_exchange`]). A catalog describe carrying it is answered from the
+/// receiver's own versions only: were it to ask its peers in turn, two
+/// workers listing each other in `--peers` would bounce one unknown name
+/// back and forth until connections ran out.
+pub(crate) const PEER_HEADER: &str = "x-ofd-peer";
+
 /// Connect/read deadlines for peer-to-peer transfer requests.
 ///
 /// The defaults are the historical constants (1 s connect, 10 s read);
@@ -79,10 +86,11 @@ pub fn parse_peer_list(spec: &str) -> Result<Vec<SocketAddr>, String> {
 }
 
 /// One bounded HTTP exchange with a peer: connect, send `method path`
-/// with an optional JSON body, read the reply to EOF. Returns the status
-/// code and raw body bytes. A reply whose body is shorter than its
-/// `content-length` header is a transport error (`UnexpectedEof`) — a
-/// connection torn mid-body must never surface as a parsed success.
+/// (marked with [`PEER_HEADER`]) with an optional JSON body, read the
+/// reply to EOF. Returns the status code and raw body bytes. A reply
+/// whose body is shorter than its `content-length` header is a transport
+/// error (`UnexpectedEof`) — a connection torn mid-body must never
+/// surface as a parsed success.
 pub(crate) fn peer_exchange(
     addr: SocketAddr,
     method: &str,
@@ -95,7 +103,8 @@ pub(crate) fn peer_exchange(
     stream.set_write_timeout(Some(timeouts.read))?;
     let payload = body.map(|v| v.to_string()).unwrap_or_default();
     let mut req = format!(
-        "{method} {path} HTTP/1.1\r\nhost: peer\r\ncontent-length: {}\r\nconnection: close\r\n",
+        "{method} {path} HTTP/1.1\r\nhost: peer\r\n{PEER_HEADER}: 1\r\ncontent-length: {}\r\n\
+         connection: close\r\n",
         payload.len()
     );
     if body.is_some() {

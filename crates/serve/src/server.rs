@@ -35,6 +35,7 @@ use crate::breaker::{Admission, Breaker};
 use crate::catalog::{Catalog, CatalogError};
 use crate::http::{read_request, AcceptLoop, HttpError, Request, Response};
 use crate::jobs::{self, Endpoint, JobContext, JobError, ENDPOINTS, ENDPOINT_COUNT};
+use crate::peers::PEER_HEADER;
 use crate::stream::{StreamSessions, STREAM_COUNTERS};
 use crate::queue::{BoundedQueue, Full};
 
@@ -561,10 +562,12 @@ fn handle_datasets(req: Request, mut stream: TcpStream, shared: &Arc<Shared>) {
             Ok(names) => Response::json(200, &json!({ "datasets": names })),
             Err(e) => catalog_error_response(&e),
         },
-        ("GET", reference) if !reference.contains('/') => match catalog.describe(reference) {
-            Ok(meta) => Response::json(200, &meta),
-            Err(e) => catalog_error_response(&e),
-        },
+        ("GET", reference) if !reference.contains('/') => {
+            match catalog.describe(reference, req.header(PEER_HEADER).is_some()) {
+                Ok(meta) => Response::json(200, &meta),
+                Err(e) => catalog_error_response(&e),
+            }
+        }
         // Internal transfer endpoint: the raw stored payload of one
         // version, for a peer repairing a missed replicated write.
         ("GET", path) => match path.split('/').collect::<Vec<_>>().as_slice() {

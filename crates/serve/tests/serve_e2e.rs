@@ -753,6 +753,67 @@ fn dataset_catalog_registers_resolves_and_survives_restart() {
 }
 
 #[test]
+fn mutual_peers_answer_an_unknown_name_without_a_describe_storm() {
+    // Two workers that list each other in `peers`. A describe one sends
+    // the other must be answered from local state only, or a name neither
+    // holds bounces between them until connections run out.
+    let free_port = || {
+        std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("free port")
+            .port()
+    };
+    let (port_a, port_b) = (free_port(), free_port());
+    let ckpt = tmp_dir("mutual-peers");
+    let bind = |port: u16, peer: u16, who: &str| {
+        let obs = ofd_core::Obs::enabled();
+        let server = Server::bind(ServeConfig {
+            addr: format!("127.0.0.1:{port}"),
+            checkpoint_dir: Some(ckpt.join(who)),
+            peers: vec![format!("127.0.0.1:{peer}").parse().expect("peer addr")],
+            obs: obs.clone(),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        (server, obs)
+    };
+    let (a, obs_a) = bind(port_a, port_b, "a");
+    let (b, obs_b) = bind(port_b, port_a, "b");
+    let requests = |obs: &ofd_core::Obs| obs.snapshot().counter("serve.requests").unwrap_or(0);
+
+    let unknown = request(a.addr(), "GET", "/v1/datasets/nope", None);
+    assert_eq!(unknown.status, 400, "{:?}", unknown.body);
+    let (on_a, on_b) = (requests(&obs_a), requests(&obs_b));
+    assert!(
+        on_a <= 2 && on_b <= 2,
+        "one client describe cost serve.requests a={on_a} b={on_b}"
+    );
+
+    // A client describe keeps its peer fallback: a dataset registered on
+    // B alone is still found through A, by read repair.
+    let (csv_text, onto_text) = dataset(60);
+    let put = request(
+        b.addr(),
+        "PUT",
+        "/v1/datasets/solo",
+        Some(&json!({ "csv": &csv_text, "ontology": &onto_text })),
+    );
+    assert_eq!(put.status, 200, "{:?}", put.body);
+    let meta = request(a.addr(), "GET", "/v1/datasets/solo", None);
+    assert_eq!(meta.status, 200, "{:?}", meta.body);
+    assert_eq!(meta.body.get("version").and_then(Value::as_u64), Some(1));
+    assert_eq!(
+        obs_a.snapshot().counter("serve.catalog.peer_fetch"),
+        Some(1),
+        "A repaired the version from B"
+    );
+
+    a.shutdown(Duration::from_secs(5));
+    b.shutdown(Duration::from_secs(5));
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+#[test]
 fn dataset_reference_on_a_catalogless_server_is_refused() {
     let server = Server::bind(ServeConfig::default()).expect("bind");
     let addr = server.addr();

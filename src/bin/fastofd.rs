@@ -7,7 +7,6 @@
 //! fastofd discover --data data.csv --ontology onto.txt [--kappa 0.9]
 //!                  [--theta N] [--max-level L] [--threads T]
 //!                  [--partition-cache-mib M] [--sample-rounds N]
-//!                  [--shards K | --shard-rows R]
 //! fastofd check    --data data.csv --ontology onto.txt --ofd "CC->CTRY"
 //! fastofd clean    --data data.csv --ontology onto.txt \
 //!                  --ofd "CC->CTRY" --ofd "SYMP,DIAG->MED" \
@@ -182,16 +181,6 @@ fn run() -> Result<ExitCode, String> {
                         .parse()
                         .map_err(|_| "--sample-rounds expects an integer (0 disables)")?,
                 );
-            }
-            if let Some(rows) = single("shard-rows") {
-                opts = opts.shard_rows(
-                    rows.parse()
-                        .map_err(|_| "--shard-rows expects a row count (0 disables)")?,
-                );
-            }
-            if let Some(n) = single("shards") {
-                opts = opts
-                    .shards(n.parse().map_err(|_| "--shards expects an integer (0 disables)")?);
             }
             opts = opts.guard(guard).obs(obs.clone()).faults(faults.clone());
             if let Some(ck) = checkpoint.clone() {
@@ -597,9 +586,8 @@ fn usage() -> String {
      observability (discover/clean/enforce): --metrics-out metrics.json --trace\n\
      crash safety (discover/clean/enforce): --checkpoint-dir DIR [--resume]\n\
      performance (discover): --partition-cache-mib M (0 disables; default 256)\n\
-     hybrid pre-filter (discover, exact mode; result-neutral): --sample-rounds N (default 2,\n\
-              0 disables) --shards K | --shard-rows R (0 disables) — HyFD-style sampled\n\
-              evidence plus per-shard minimal covers refute candidates before any\n\
+     sampling pre-filter (discover, exact mode; result-neutral): --sample-rounds N (default\n\
+              2, 0 disables) — HyFD-style sampled evidence refutes candidates before any\n\
               full-relation scan or partition product\n\
      fault injection (testing only): --faults \"seed=N,snapshot-io%P,panic@N\" or FASTOFD_FAULTS;\n\
               network sites: net-delay net-reset net-partial net-blackhole net-refuse\n\

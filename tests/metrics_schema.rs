@@ -117,17 +117,13 @@ fn metrics_json_matches_schema_v1() {
     ] {
         assert!(names.iter().any(|n| n == name), "partition-cache counter {name} missing");
     }
-    // The hybrid pre-filter counters are touched at engine start, so they
-    // appear (as zeros) even when sampling or sharding is disabled for the
-    // run — dashboards never see an absent series.
+    // The sampling pre-filter counters are touched at engine start, so they
+    // appear (as zeros) even when sampling is disabled for the run —
+    // dashboards never see an absent series.
     for name in [
         "discovery.sample.rounds",
         "discovery.sample.evidence_pairs",
         "discovery.sample.candidates_pruned",
-        "discovery.shard.shards",
-        "discovery.shard.merged_candidates",
-        "discovery.shard.candidates_pruned",
-        "discovery.shard.union_validated",
     ] {
         assert!(names.iter().any(|n| n == name), "hybrid pre-filter counter {name} missing");
     }
