@@ -6,6 +6,10 @@
 //! perf_probe --check PATH [--only NAME] [--max-regress-pct P]
 //! ```
 //!
+//! Recording with `--only` refreshes that one entry of an existing v2 file
+//! in place and keeps every other entry and their order; `host` then
+//! describes the latest recording's host.
+//!
 //! The baseline holds one entry per named workload from
 //! [`ofd_datagen::named`] — `clinical-40k` (the long-standing
 //! single-threaded gate), `clinical-250k` (the multi-threaded sampled
@@ -51,8 +55,10 @@ struct EntryConfig {
 }
 
 /// The recorded workload matrix. `clinical-40k` keeps the historical gate
-/// shape (single-threaded, default engine); the large entries exercise the
-/// sampled pipeline across four worker threads.
+/// shape (single-threaded, default engine) and takes the best of 10 runs:
+/// its wall is ≈100 ms, so one run slowed by a busy host moves it by more
+/// than the 25 % gate. The large entries exercise the sampled pipeline
+/// across four worker threads.
 fn plan() -> Vec<EntryConfig> {
     vec![
         EntryConfig {
@@ -61,7 +67,7 @@ fn plan() -> Vec<EntryConfig> {
             max_level: 4,
             threads: 1,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
-            repeats: 3,
+            repeats: 10,
             measure_sequential: true,
             budget_ms: None,
         },
@@ -281,6 +287,25 @@ fn check_entry(
     Ok(true)
 }
 
+/// The entries of `existing` (a v2 baseline, if any) with each `fresh`
+/// entry replacing the one of the same name in place, or appended when its
+/// name is new.
+fn merge_entries(existing: Option<&Value>, fresh: Vec<Value>) -> Vec<Value> {
+    let name = |e: &Value| e.get("name").and_then(Value::as_str).map(str::to_owned);
+    let mut entries: Vec<Value> = existing
+        .and_then(|b| b.get("entries"))
+        .and_then(Value::as_array)
+        .cloned()
+        .unwrap_or_default();
+    for e in fresh {
+        match entries.iter_mut().find(|old| name(old) == name(&e)) {
+            Some(slot) => *slot = e,
+            None => entries.push(e),
+        }
+    }
+    entries
+}
+
 fn main() {
     let mut out = "BENCH_discovery.json".to_owned();
     let mut only: Option<String> = None;
@@ -354,7 +379,7 @@ fn main() {
         return;
     }
 
-    let mut entries: Vec<Value> = Vec::new();
+    let mut fresh: Vec<Value> = Vec::new();
     for mut e in plan() {
         if !matches(e.name) {
             continue;
@@ -362,18 +387,75 @@ fn main() {
         if let Some(r) = repeats_override {
             e.repeats = r;
         }
-        entries.push(record_entry(&e));
+        fresh.push(record_entry(&e));
     }
-    assert!(!entries.is_empty(), "no plan entry matches --only filter");
+    assert!(!fresh.is_empty(), "no plan entry matches --only filter");
+    // An existing baseline keeps its other entries; one that does not parse
+    // is left alone rather than replaced by a partial file.
+    let existing: Option<Value> = std::fs::read_to_string(&out).ok().map(|text| {
+        serde_json::from_str(&text)
+            .unwrap_or_else(|e| panic!("{out} exists but is not JSON ({e}); move it away first"))
+    });
     let report = json!({
         "bench": "discovery",
         "version": 2,
         "host": { "cores": host_cores() },
-        "entries": Value::Array(entries),
+        "entries": Value::Array(merge_entries(existing.as_ref(), fresh)),
     });
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
     let path = Path::new(&out);
     ofd_core::atomic_write(path, json.as_bytes())
         .unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!("wrote {out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(name: &str, wall_ms: u64) -> Value {
+        json!({ "name": name, "wall_ms": wall_ms })
+    }
+
+    #[test]
+    fn only_refreshes_its_entry_and_keeps_the_rest_in_order() {
+        let baseline = json!({
+            "bench": "discovery",
+            "version": 2,
+            "entries": Value::Array(vec![
+                entry("clinical-40k", 442),
+                entry("clinical-250k", 3041),
+                entry("kiva-670k", 11264),
+                entry("synth-1m", 78134),
+            ]),
+        });
+        let merged = merge_entries(Some(&baseline), vec![entry("clinical-250k", 900)]);
+        assert_eq!(
+            merged,
+            vec![
+                entry("clinical-40k", 442),
+                entry("clinical-250k", 900),
+                entry("kiva-670k", 11264),
+                entry("synth-1m", 78134),
+            ]
+        );
+    }
+
+    #[test]
+    fn new_names_append_and_a_missing_or_v1_file_starts_empty() {
+        let baseline = json!({ "entries": Value::Array(vec![entry("clinical-40k", 442)]) });
+        assert_eq!(
+            merge_entries(Some(&baseline), vec![entry("new-preset", 5)]),
+            vec![entry("clinical-40k", 442), entry("new-preset", 5)]
+        );
+        assert_eq!(
+            merge_entries(None, vec![entry("a", 1)]),
+            vec![entry("a", 1)]
+        );
+        let v1 = json!({ "wall_ms": 442 });
+        assert_eq!(
+            merge_entries(Some(&v1), vec![entry("a", 1)]),
+            vec![entry("a", 1)]
+        );
+    }
 }

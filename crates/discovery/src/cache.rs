@@ -5,10 +5,10 @@
 //! which reuses a resident copy when one exists and otherwise computes the
 //! partition from the **cheapest available operand pair** — the two cached
 //! parents with the smallest `‖Π*‖`, one cached parent times its missing
-//! pinned level-1 attribute partition, or (when nothing usable is resident)
-//! directly from the relation. Because partitions are canonical by
-//! construction, every route yields byte-identical CSR arrays, so cache
-//! configuration can never change Σ.
+//! pinned level-1 attribute partition, or (when no parent is resident) a
+//! chain of products over the pinned level-1 partitions of X. Because
+//! partitions are canonical by construction, every route yields
+//! byte-identical CSR arrays, so cache configuration can never change Σ.
 //!
 //! Byte accounting uses [`StrippedPartition::approx_bytes`] (exact for the
 //! CSR arrays). Insertions evict least-recently-used unpinned entries until
@@ -36,8 +36,10 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// High-water mark of resident bytes.
     pub peak_resident_bytes: u64,
-    /// Partition products performed (pair-combining computes; misses that
-    /// fell back to a direct scan are `misses − products`).
+    /// Misses computed by one product of a resident parent with another
+    /// resident operand. The other `misses − products` were built from the
+    /// pinned level-1 partitions alone (a chain of products when no parent
+    /// was resident) or, for `|X| < 2`, by a direct scan.
     pub products: u64,
 }
 
@@ -152,8 +154,9 @@ impl PartitionCache {
     /// Computes Π*_X from the cheapest available operand pair: the resident
     /// parent with the smallest `‖Π*‖`, paired with either the next-smallest
     /// resident parent or its own missing level-1 attribute partition —
-    /// whichever is smaller. Falls back to a direct relation scan when no
-    /// parent is resident (or `|X| < 2`).
+    /// whichever is smaller. Falls back to [`PartitionCache::pinned_chain`]
+    /// when no parent is resident, and to a direct relation scan when
+    /// `|X| < 2`.
     fn compute(
         &mut self,
         rel: &Relation,
@@ -174,7 +177,7 @@ impl PartitionCache {
         parents.sort_unstable_by_key(|&(cost, _, _)| cost);
         let (left_bits, right_bits) = match parents.as_slice() {
             [] => {
-                return StrippedPartition::of(rel, attrs);
+                return self.pinned_chain(rel, attrs, scratch);
             }
             [(_, missing, p_bits), rest @ ..] => {
                 // Partner: next-cheapest parent vs the pinned level-1
@@ -187,7 +190,7 @@ impl PartitionCache {
                     (Some(&(_, _, p2)), _) => (*p_bits, p2),
                     (None, Some(_)) => (*p_bits, attr_bits),
                     (None, None) => {
-                        return StrippedPartition::of(rel, attrs);
+                        return self.pinned_chain(rel, attrs, scratch);
                     }
                 }
             }
@@ -196,6 +199,35 @@ impl PartitionCache {
         let right = Arc::clone(self.peek(right_bits).expect("right operand resident"));
         self.stats.products += 1;
         left.product_with_scratch(&right, scratch)
+    }
+
+    /// Builds Π*_X (`|X| ≥ 2`) from the pinned level-1 partitions alone: a
+    /// chain of products, smallest `‖Π*‖` first, that stops at the first
+    /// empty product (X is then a superkey, and the empty partition is its
+    /// Π*). Falls back to a direct relation scan if an attribute partition
+    /// is not resident.
+    fn pinned_chain(
+        &self,
+        rel: &Relation,
+        attrs: AttrSet,
+        scratch: &mut ProductScratch,
+    ) -> StrippedPartition {
+        let Some(mut operands) = attrs
+            .iter()
+            .map(|a| self.peek(AttrSet::single(a).bits()).map(Arc::clone))
+            .collect::<Option<Vec<Arc<StrippedPartition>>>>()
+        else {
+            return StrippedPartition::of(rel, attrs);
+        };
+        operands.sort_by_key(|p| p.tuple_count());
+        let mut acc = operands[0].product_with_scratch(&operands[1], scratch);
+        for next in &operands[2..] {
+            if acc.is_superkey() {
+                break;
+            }
+            acc = acc.product_with_scratch(next, scratch);
+        }
+        acc
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -287,6 +319,30 @@ mod tests {
         for x in sets {
             let got = cache.produce(&rel, x, &mut scratch);
             assert_eq!(*got, StrippedPartition::of(&rel, x), "{:?}", x);
+        }
+    }
+
+    #[test]
+    fn pinned_chain_equals_direct_without_resident_parents() {
+        // Lazy discovery asks for Π*_X with no parent resident: the chain
+        // over pinned level-1 partitions must reproduce the direct
+        // partition (superkeys included), insert only Π*_X and count one
+        // miss and no resident-parent product.
+        let rel = table1();
+        let n = rel.n_attrs();
+        for bits in 0..(1u64 << n) {
+            let x = AttrSet::from_bits(bits);
+            if x.len() < 3 {
+                continue;
+            }
+            let mut cache = PartitionCache::new(64);
+            let mut scratch = ProductScratch::default();
+            seed_level1(&mut cache, &rel);
+            let got = cache.produce(&rel, x, &mut scratch);
+            assert_eq!(*got, StrippedPartition::of(&rel, x), "{x:?}");
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses, s.products), (0, 1, 0), "{x:?}");
+            assert_eq!(cache.entries.len(), n + 1, "{x:?}");
         }
     }
 
