@@ -10,14 +10,18 @@
 //! in place and keeps every other entry and their order; `host` then
 //! describes the latest recording's host.
 //!
-//! The baseline holds one entry per named workload from
+//! The baseline holds one entry per workload over a named preset from
 //! [`ofd_datagen::named`] — `clinical-40k` (the long-standing
-//! single-threaded gate), `clinical-250k` (the multi-threaded sampled
+//! single-threaded gate), `clinical-40k-k95` (the same preset discovered
+//! approximately, at κ = 0.95), `clinical-250k` (the multi-threaded sampled
 //! pipeline smoke scale), `kiva-670k` and `synth-1m`. Each entry pins every
-//! result-affecting knob plus the perf knobs (`threads`, `sample_rounds`)
-//! so the recorded wall time is comparable across commits, and records
-//! `host.cores` so cross-host numbers are never mistaken for same-host
-//! history.
+//! result-affecting knob (`min_support`, absent meaning 1.0) plus the perf
+//! knobs (`threads`, `sample_rounds`) so the recorded wall time is
+//! comparable across commits, and records `host.cores` so cross-host
+//! numbers are never mistaken for same-host history. Entries recorded since
+//! `min_support` was added also store the run's deterministic counts:
+//! `candidates`, `verified`, and the partition cache's `products`,
+//! `cache_hits` and `cache_misses`.
 //!
 //! Entries that measure a sequential reference (`sequential_wall_ms`) also
 //! record `speedup` — the plain sequential engine (threads=1, sampling
@@ -26,8 +30,9 @@
 //! where thread-level gains cannot show.
 //!
 //! `--check` re-runs every recorded entry (optionally filtered with
-//! `--only`) under its recorded knobs and fails when |Σ| drifts — a perf
-//! gate must not pass on wrong answers — or when the wall time exceeds the
+//! `--only`) under its recorded knobs and fails when |Σ| or any stored
+//! count drifts — a perf gate must not pass on wrong answers, and a count
+//! gate holds on any host — or when the wall time exceeds the
 //! entry's absolute `budget_ms` (when present) or regresses more than
 //! `--max-regress-pct` (default 25%) otherwise. An entry whose preset name
 //! is unknown to this binary is SKIPPED with a note, not failed: baselines
@@ -43,6 +48,7 @@ use serde_json::{json, Value};
 struct EntryConfig {
     name: &'static str,
     preset: &'static str,
+    min_support: f64,
     max_level: usize,
     threads: usize,
     sample_rounds: usize,
@@ -57,13 +63,16 @@ struct EntryConfig {
 /// The recorded workload matrix. `clinical-40k` keeps the historical gate
 /// shape (single-threaded, default engine) and takes the best of 10 runs:
 /// its wall is ≈100 ms, so one run slowed by a busy host moves it by more
-/// than the 25 % gate. The large entries exercise the sampled pipeline
-/// across four worker threads.
+/// than the 25 % gate. `clinical-40k-k95` is approximate discovery on the
+/// same preset: the sampler is off at κ < 1, so it has no sequential
+/// reference, and its absolute budget makes its counts the real gate. The
+/// large entries exercise the sampled pipeline across four worker threads.
 fn plan() -> Vec<EntryConfig> {
     vec![
         EntryConfig {
             name: "clinical-40k",
             preset: "clinical-40k",
+            min_support: 1.0,
             max_level: 4,
             threads: 1,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
@@ -72,8 +81,20 @@ fn plan() -> Vec<EntryConfig> {
             budget_ms: None,
         },
         EntryConfig {
+            name: "clinical-40k-k95",
+            preset: "clinical-40k",
+            min_support: 0.95,
+            max_level: 4,
+            threads: 1,
+            sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
+            repeats: 3,
+            measure_sequential: false,
+            budget_ms: None, // derived from the measurement below
+        },
+        EntryConfig {
             name: "clinical-250k",
             preset: "clinical-250k",
+            min_support: 1.0,
             max_level: 4,
             threads: 4,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
@@ -84,6 +105,7 @@ fn plan() -> Vec<EntryConfig> {
         EntryConfig {
             name: "kiva-670k",
             preset: "kiva-670k",
+            min_support: 1.0,
             max_level: 4,
             threads: 4,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
@@ -94,6 +116,7 @@ fn plan() -> Vec<EntryConfig> {
         EntryConfig {
             name: "synth-1m",
             preset: "synth-1m",
+            min_support: 1.0,
             max_level: 4,
             threads: 4,
             sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
@@ -109,9 +132,22 @@ struct Measured {
     ofds: usize,
     peak_partition_bytes: u64,
     cache_hit_rate: f64,
+    /// In [`COUNT_FIELDS`] order.
+    counts: [u64; 5],
 }
 
+/// The stored counts, by entry field name. They are deterministic for the
+/// entry's knobs: the same on any host and at any thread count.
+const COUNT_FIELDS: [&str; 5] = [
+    "candidates",
+    "verified",
+    "products",
+    "cache_hits",
+    "cache_misses",
+];
+
 struct Knobs {
+    min_support: f64,
     max_level: usize,
     threads: usize,
     sample_rounds: usize,
@@ -127,6 +163,7 @@ fn measure(ds: &Dataset, k: &Knobs) -> Measured {
         let result = FastOfd::new(&ds.clean, &ds.full_ontology)
             .options(
                 DiscoveryOptions::new()
+                    .min_support(k.min_support)
                     .max_level(k.max_level)
                     .threads(k.threads)
                     .sample_rounds(k.sample_rounds),
@@ -145,6 +182,13 @@ fn measure(ds: &Dataset, k: &Knobs) -> Measured {
             } else {
                 cs.hits as f64 / lookups as f64
             },
+            counts: [
+                result.stats.total_candidates() as u64,
+                result.stats.total_verified() as u64,
+                cs.products,
+                cs.hits,
+                cs.misses,
+            ],
         };
         if best.as_ref().is_none_or(|b| m.wall_ms < b.wall_ms) {
             best = Some(m);
@@ -171,6 +215,7 @@ fn record_entry(e: &EntryConfig) -> Value {
     let (ds, cfg) =
         generate(e.preset).unwrap_or_else(|| panic!("unknown preset {:?}", e.preset));
     let knobs = Knobs {
+        min_support: e.min_support,
         max_level: e.max_level,
         threads: e.threads,
         sample_rounds: e.sample_rounds,
@@ -206,9 +251,10 @@ fn record_entry(e: &EntryConfig) -> Value {
         "{}: wall {} ms, |Σ| {}, seq {:?} ms, speedup {:?}",
         e.name, m.wall_ms, m.ofds, sequential_wall_ms, speedup
     );
-    json!({
+    let mut entry = json!({
         "name": e.name,
         "preset": e.preset,
+        "min_support": e.min_support,
         "rows": cfg.n_rows,
         "seed": cfg.seed,
         "max_level": e.max_level,
@@ -223,6 +269,26 @@ fn record_entry(e: &EntryConfig) -> Value {
         "sequential_wall_ms": sequential_wall_ms,
         "speedup": speedup,
         "budget_ms": budget_ms,
+    });
+    if let Value::Object(fields) = &mut entry {
+        fields.extend(
+            COUNT_FIELDS
+                .iter()
+                .zip(m.counts)
+                .map(|(field, count)| (field.to_string(), Value::from(count))),
+        );
+    }
+    entry
+}
+
+/// The first stored count of `entry` that differs from `measured`
+/// (in [`COUNT_FIELDS`] order), as a failure reason. Counts an entry does
+/// not store are not compared.
+fn count_drift(name: &str, entry: &Value, measured: &[u64; 5]) -> Option<String> {
+    COUNT_FIELDS.iter().zip(measured).find_map(|(field, &got)| {
+        let stored = entry.get(field).and_then(Value::as_u64)?;
+        (stored != got)
+            .then(|| format!("{name}: {field} drifted from the baseline ({got} vs {stored})"))
     })
 }
 
@@ -254,7 +320,15 @@ fn check_entry(
             .and_then(Value::as_u64)
             .ok_or_else(|| format!("{name}: entry field {k:?} missing"))
     };
+    let min_support = entry
+        .get("min_support")
+        .and_then(Value::as_f64)
+        .unwrap_or(1.0);
+    DiscoveryOptions::new()
+        .try_min_support(min_support)
+        .map_err(|e| format!("{name}: entry field \"min_support\": {e}"))?;
     let knobs = Knobs {
+        min_support,
         max_level: field("max_level")? as usize,
         threads: field("threads")? as usize,
         sample_rounds: field("sample_rounds")? as usize,
@@ -272,14 +346,25 @@ fn check_entry(
         ),
     };
     println!(
-        "perf-smoke: {name}: wall {} ms vs baseline {} ms (threads {}, {} limit {:.0} ms), \
-         |Σ| {} vs {}",
-        m.wall_ms, base_ms, knobs.threads, gate, limit_ms, m.ofds, base_ofds
+        "perf-smoke: {name}: wall {} ms vs baseline {} ms (κ {}, threads {}, {} limit {:.0} ms), \
+         |Σ| {} vs {}, counts {:?}",
+        m.wall_ms,
+        base_ms,
+        knobs.min_support,
+        knobs.threads,
+        gate,
+        limit_ms,
+        m.ofds,
+        base_ofds,
+        COUNT_FIELDS.iter().zip(m.counts).collect::<Vec<_>>()
     );
     if m.ofds as u64 != base_ofds {
         return Err(format!(
             "{name}: |Σ| drifted from the baseline — fix correctness before perf"
         ));
+    }
+    if let Some(reason) = count_drift(name, entry, &m.counts) {
+        return Err(reason);
     }
     if (m.wall_ms as f64) > limit_ms {
         return Err(format!("{name}: wall time exceeds the {gate} limit"));
@@ -439,6 +524,28 @@ mod tests {
                 entry("synth-1m", 78134),
             ]
         );
+    }
+
+    #[test]
+    fn stored_counts_gate_and_absent_ones_are_skipped() {
+        let counts = [4_253, 2_869, 1_000, 390, 1_425];
+        let recorded = json!({
+            "name": "k95",
+            "candidates": 4_253u64,
+            "verified": 2_869u64,
+            "products": 1_000u64,
+            "cache_hits": 390u64,
+            "cache_misses": 1_425u64,
+        });
+        assert_eq!(count_drift("k95", &recorded, &counts), None);
+        let mut drifted = counts;
+        drifted[3] = 391;
+        assert_eq!(
+            count_drift("k95", &recorded, &drifted).as_deref(),
+            Some("k95: cache_hits drifted from the baseline (391 vs 390)")
+        );
+        // An entry recorded before counts were stored gates on |Σ| alone.
+        assert_eq!(count_drift("old", &entry("old", 98), &drifted), None);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   ([`StrippedPartition`]);
 //! * FDs and OFDs ([`Fd`], [`Ofd`]) and their verification over equivalence
 //!   classes ([`Validator`]), including approximate support for
-//!   κ-approximate discovery;
+//!   κ-approximate discovery, which counts with the budgeted kernel
+//!   [`covered_within`];
 //! * execution guards ([`ExecGuard`], [`Partial`]) giving every
 //!   long-running engine deadlines, work/memory budgets and cooperative
 //!   cancellation with sound partial results;
@@ -67,5 +68,8 @@ pub use partition::{Classes, Partition, ProductScratch, StrippedPartition};
 pub use relation::{table1, table1_updated, Relation, RelationBuilder, MAX_ROWS};
 pub use schema::{AttrId, AttrSet, AttrSetIter, Schema, MAX_ATTRS};
 pub use sense_index::SenseIndex;
-pub use validate::{check_ofd_exact, check_ofd_with_index, estimate_support, ClassOutcome, Validation, Validator, Witness};
+pub use validate::{
+    check_ofd_with_index, covered_within, estimate_support, ClassOutcome, Validation, Validator,
+    VerifyScratch, Witness,
+};
 pub use value::{ValueId, ValuePool};

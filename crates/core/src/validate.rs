@@ -4,9 +4,11 @@
 //! equivalence class of the antecedent partition must have a *common*
 //! interpretation across all its consequent values (the Table 2
 //! counterexample: pairwise-common classes whose global intersection is
-//! empty). Verification scans the stripped partition once, maintaining a
-//! hash table of sense frequencies per class — linear in the number of
-//! tuples, as the paper's complexity analysis requires.
+//! empty). Verification scans the stripped partition once, maintaining
+//! sense frequencies per class — linear in the number of tuples, as the
+//! paper's complexity analysis requires. [`check_ofd_with_index`] reports
+//! every class; discovery's [`covered_within`] only counts covered tuples,
+//! in dense arrays, and stops once a support budget is lost.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -198,9 +200,10 @@ impl<'a> Validator<'a> {
 /// antecedent partition.
 ///
 /// This is the thread-safe core of [`Validator::check_with_partition`]
-/// (`Relation` and `SenseIndex` are `Sync`), used by the parallel discovery
-/// path. The index's construction mode (synonym vs inheritance) determines
-/// the semantics; the `ofd.kind` field is not consulted.
+/// (`Relation` and `SenseIndex` are `Sync`). Discovery, which needs only a
+/// count, uses [`covered_within`] instead. The index's construction mode
+/// (synonym vs inheritance) determines the semantics; the `ofd.kind` field
+/// is not consulted.
 pub fn check_ofd_with_index(
     rel: &Relation,
     index: &SenseIndex,
@@ -288,47 +291,137 @@ pub fn estimate_support(
     covered as f64 / sample_size as f64
 }
 
-/// Exact-mode check with early exit: returns `false` at the *first*
-/// violating class, skipping the full [`Validation`] construction. This is
-/// the discovery hot path — the overwhelming majority of lattice candidates
-/// fail, usually in an early class.
-pub fn check_ofd_exact(
+/// Dense counters reused across [`covered_within`] calls, in the
+/// [`crate::ProductScratch`] idiom: value counts indexed by [`ValueId`]
+/// (grown to the relation's pool), sense counts indexed by [`SenseId`]
+/// (grown on demand), and touched lists so that only the entries a class
+/// used are reset. One scratch serves one thread; its footprint is one
+/// `u32` per interned value plus one per sense seen.
+#[derive(Debug, Default)]
+pub struct VerifyScratch {
+    value_counts: Vec<u32>,
+    touched_values: Vec<ValueId>,
+    sense_counts: Vec<u32>,
+    touched_senses: Vec<u32>,
+}
+
+impl VerifyScratch {
+    /// Zeroes every touched counter. Every nonzero counter is on a touched
+    /// list (it is pushed before it is incremented), so this restores the
+    /// all-zero invariant even after an unwind mid-class.
+    fn reset(&mut self) {
+        for &v in &self.touched_values {
+            self.value_counts[v.index()] = 0;
+        }
+        self.touched_values.clear();
+        for &s in &self.touched_senses {
+            self.sense_counts[s as usize] = 0;
+        }
+        self.touched_senses.clear();
+    }
+
+    /// Uncovered tuples of one class under its best interpretation — the
+    /// arithmetic of `class_outcome` without its witness. `None` when the
+    /// class has an uncovered tuple and `budget_left` is 0. Leaves the
+    /// scratch zeroed.
+    fn class_uncovered(
+        &mut self,
+        class: &[u32],
+        col: &[ValueId],
+        index: &SenseIndex,
+        budget_left: usize,
+    ) -> Option<usize> {
+        // Opt-4 fast path: one distinct consequent value covers the class.
+        // Checked before counting, which a mixed class abandons at its
+        // first differing tuple.
+        let Some(&head) = class.first() else {
+            return Some(0);
+        };
+        let first = col[head as usize];
+        if class.iter().all(|&t| col[t as usize] == first) {
+            return Some(0);
+        }
+        let VerifyScratch {
+            value_counts,
+            touched_values,
+            sense_counts,
+            touched_senses,
+        } = self;
+        for &t in class {
+            let v = col[t as usize];
+            if value_counts[v.index()] == 0 {
+                touched_values.push(v);
+            }
+            value_counts[v.index()] += 1;
+        }
+        let uncovered = 'class: {
+            let size = class.len() as u32;
+            let mut best_literal = 0u32;
+            let mut best_sense = 0u32;
+            for &v in touched_values.iter() {
+                let count = value_counts[v.index()];
+                best_literal = best_literal.max(count);
+                let senses = index.senses(v);
+                if senses.is_empty() && budget_left == 0 {
+                    // No sense covers this value's tuples, so the class
+                    // keeps at least one uncovered tuple.
+                    break 'class None;
+                }
+                for &s in senses {
+                    let s = s.index();
+                    if s >= sense_counts.len() {
+                        sense_counts.resize(s + 1, 0);
+                    }
+                    if sense_counts[s] == 0 {
+                        touched_senses.push(s as u32);
+                    }
+                    sense_counts[s] += count;
+                    best_sense = best_sense.max(sense_counts[s]);
+                }
+                // `>=`: a duplicated sense id may count a tuple twice.
+                if best_sense >= size {
+                    break 'class Some(0);
+                }
+            }
+            (budget_left > 0).then(|| (size - best_sense.max(best_literal)) as usize)
+        };
+        self.reset();
+        uncovered
+    }
+}
+
+/// The budgeted support kernel of discovery: the number of tuples covered
+/// by the per-class best interpretations, or `None` as soon as more than
+/// `max_uncovered` tuples are uncovered.
+///
+/// `Some(c)` is returned exactly when the OFD's violating tuples are at
+/// most `max_uncovered`, and then `c` equals
+/// [`Validation::covered_tuples`] of [`check_ofd_with_index`]. A budget of
+/// 0 is the exact check (κ = 1); a budget of `n − ceil(κ·n)` decides
+/// support κ. No [`Validation`] or per-class vector is built, and counts go
+/// through `scratch`'s dense arrays instead of hash maps.
+pub fn covered_within(
     rel: &Relation,
     index: &SenseIndex,
     ofd: &Ofd,
     partition: &StrippedPartition,
-) -> bool {
+    max_uncovered: usize,
+    scratch: &mut VerifyScratch,
+) -> Option<usize> {
     let col = rel.column(ofd.rhs);
-    let mut value_counts: FxHashMap<ValueId, u32> = FxHashMap::default();
-    let mut sense_counts: FxHashMap<SenseId, u32> = FxHashMap::default();
-    'class: for class in partition.classes() {
-        value_counts.clear();
-        for &t in class {
-            *value_counts.entry(col[t as usize]).or_insert(0) += 1;
-        }
-        if value_counts.len() == 1 {
-            continue; // FD fast path
-        }
-        // A satisfying sense must cover every tuple: count per sense and
-        // check whether any reaches the class size.
-        sense_counts.clear();
-        let size = class.len() as u32;
-        for (&v, &c) in value_counts.iter() {
-            let senses = index.senses(v);
-            if senses.is_empty() {
-                return false; // this value can never be covered
-            }
-            for &s in senses {
-                let entry = sense_counts.entry(s).or_insert(0);
-                *entry += c;
-                if *entry == size {
-                    continue 'class;
-                }
-            }
-        }
-        return false;
+    // A no-op on a clean scratch; guards reuse after a caught unwind.
+    scratch.reset();
+    if scratch.value_counts.len() < rel.pool().len() {
+        scratch.value_counts.resize(rel.pool().len(), 0);
     }
-    true
+    let mut uncovered = 0usize;
+    for class in partition.classes() {
+        uncovered += scratch.class_uncovered(class, col, index, max_uncovered - uncovered)?;
+        if uncovered > max_uncovered {
+            return None;
+        }
+    }
+    Some(rel.n_rows() - uncovered)
 }
 
 /// Core per-class routine: the maximum number of tuples whose consequent
@@ -410,6 +503,7 @@ mod tests {
     use super::*;
     use crate::relation::{table1, table1_updated};
     use ofd_ontology::{samples, OntologyBuilder};
+    use proptest::prelude::*;
 
     #[test]
     fn f1_cc_to_ctry_fails_as_fd_but_holds_as_synonym_ofd() {
@@ -656,6 +750,7 @@ mod tests {
         let onto = samples::combined_paper_ontology();
         let index = SenseIndex::synonym(&rel, &onto);
         let v = Validator::new(&rel, &onto);
+        let mut scratch = VerifyScratch::default();
         let n = rel.schema().len();
         for bits in 0..(1u64 << n) {
             let lhs = crate::schema::AttrSet::from_bits(bits);
@@ -666,11 +761,105 @@ mod tests {
                 let ofd = Ofd::synonym(lhs, a);
                 let sp = StrippedPartition::of(&rel, lhs);
                 assert_eq!(
-                    crate::validate::check_ofd_exact(&rel, &index, &ofd, &sp),
+                    covered_within(&rel, &index, &ofd, &sp, 0, &mut scratch).is_some(),
                     v.check_with_partition(&ofd, &sp).satisfied(),
                     "{}",
                     ofd.display(rel.schema())
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_kernel_ignores_a_dirty_scratch() {
+        // One class {p, q, q}: `q` covers 2 tuples literally, sense S only
+        // `p`. Counters left behind by an unwind mid-class (every nonzero
+        // counter on a touched list) would make S cover the whole class;
+        // the kernel resets them on entry.
+        let rel = Relation::from_rows(
+            ["X", "Y"],
+            [&["a", "p"] as &[&str], &["a", "q"], &["a", "q"]],
+        )
+        .unwrap();
+        let mut b = OntologyBuilder::new();
+        b.concept("S").synonyms(["p"]).build().unwrap();
+        let onto = b.finish().unwrap();
+        let index = SenseIndex::synonym(&rel, &onto);
+        let ofd = Ofd::synonym_named(rel.schema(), &["X"], "Y").unwrap();
+        let sp = StrippedPartition::of(&rel, ofd.lhs);
+        let dirty = || VerifyScratch {
+            value_counts: vec![3; rel.pool().len()],
+            touched_values: (0..rel.pool().len()).map(ValueId::from_index).collect(),
+            sense_counts: vec![5; onto.len()],
+            touched_senses: (0..onto.len() as u32).collect(),
+        };
+        let kernel = |budget| covered_within(&rel, &index, &ofd, &sp, budget, &mut dirty());
+        assert_eq!(kernel(1), Some(2));
+        assert_eq!(kernel(0), None);
+    }
+
+    /// Random relations over `v0..v5` and an ontology of up to three
+    /// concepts, each optionally the child of an earlier one, so a value
+    /// lies in up to three senses (more under inheritance).
+    fn arb_instance() -> impl Strategy<Value = (Relation, Ontology)> {
+        let rows = prop::collection::vec(prop::collection::vec(0u8..6, 3), 1..12);
+        let concepts = prop::collection::vec(
+            // (synonyms, parent choice: 0 = a root, k = the k-th earlier)
+            (prop::collection::vec(0u8..6, 1..4), 0usize..4),
+            0..4,
+        );
+        (rows, concepts).prop_map(|(rows, concepts)| {
+            let mut b = Relation::builder(crate::schema::Schema::new(["A", "B", "C"]).unwrap());
+            for row in &rows {
+                let cells: Vec<String> = row.iter().map(|v| format!("v{v}")).collect();
+                b.push_row(cells.iter().map(String::as_str)).unwrap();
+            }
+            let mut ob = OntologyBuilder::new();
+            let mut ids = Vec::new();
+            for (ci, (values, parent)) in concepts.iter().enumerate() {
+                let mut values: Vec<String> = values.iter().map(|v| format!("v{v}")).collect();
+                values.sort();
+                values.dedup();
+                let mut c = ob.concept(format!("c{ci}")).synonyms(values);
+                if let Some(&p) = ids.get(parent.wrapping_sub(1)) {
+                    c = c.parent(p);
+                }
+                ids.push(c.build().unwrap());
+            }
+            (b.finish(), ob.finish().unwrap())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The budgeted kernel against the full validation, for every
+        /// antecedent and every budget: `Some(covered_tuples)` iff the
+        /// violating tuples fit the budget. One scratch is reused across
+        /// every call, so failing candidates precede passing ones on it;
+        /// a fresh scratch must agree.
+        #[test]
+        fn budgeted_kernel_matches_full_validation((rel, onto) in arb_instance()) {
+            let n = rel.n_rows();
+            let mut shared = VerifyScratch::default();
+            for index in [SenseIndex::synonym(&rel, &onto), SenseIndex::inheritance(&rel, &onto, 1)] {
+                for bits in 0..(1u64 << rel.schema().len()) {
+                    let lhs = crate::schema::AttrSet::from_bits(bits);
+                    let sp = StrippedPartition::of(&rel, lhs);
+                    for a in rel.schema().attrs().filter(|&a| !lhs.contains(a)) {
+                        let ofd = Ofd::synonym(lhs, a);
+                        let v = check_ofd_with_index(&rel, &index, &ofd, &sp);
+                        for budget in 0..=n {
+                            let expect = (v.violating_tuples() <= budget).then_some(v.covered_tuples);
+                            let got = covered_within(&rel, &index, &ofd, &sp, budget, &mut shared);
+                            let fresh = covered_within(
+                                &rel, &index, &ofd, &sp, budget, &mut VerifyScratch::default(),
+                            );
+                            prop_assert_eq!(got, expect, "{} at budget {}", ofd.display(rel.schema()), budget);
+                            prop_assert_eq!(fresh, expect);
+                        }
+                    }
+                }
             }
         }
     }

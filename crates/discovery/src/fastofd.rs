@@ -17,8 +17,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ofd_core::{
-    check_ofd_exact, check_ofd_with_index, support_threshold, AttrId, AttrSet, EvidenceSet, Ofd,
-    OfdKind, ProductScratch, Relation, Schema, SenseIndex, StrippedPartition,
+    covered_within, support_threshold, AttrId, AttrSet, EvidenceSet, Ofd, OfdKind, ProductScratch,
+    Relation, Schema, SenseIndex, StrippedPartition, VerifyScratch,
 };
 use ofd_logic::{implies, Dependency};
 use ofd_ontology::Ontology;
@@ -155,7 +155,7 @@ impl<'a> FastOfd<'a> {
         let n = schema.len();
         let all = schema.all();
         // One shared sense index in the semantics of the requested kind;
-        // `check_ofd_with_index` is thread-safe over it.
+        // `covered_within` is thread-safe over it.
         let index = {
             let _span = obs.span("fastofd.index");
             match self.opts.kind {
@@ -172,11 +172,13 @@ impl<'a> FastOfd<'a> {
             .map(|fd| Dependency::from(*fd))
             .collect();
         // Exact integer support: a candidate meets κ iff it covers at least
-        // `ceil(κ · n_rows)` tuples. When that threshold is the full
-        // relation (κ = 1, or κ close enough that any violation fails it),
-        // the early-exit exact checker applies.
-        let exact =
-            support_threshold(self.rel.n_rows(), self.opts.min_support) == self.rel.n_rows();
+        // `ceil(κ · n_rows)` tuples, i.e. leaves at most `max_uncovered`
+        // uncovered. A budget of 0 (κ = 1, or κ close enough that any
+        // violation fails it) is exact discovery, the only mode in which a
+        // sampled violating pair refutes a candidate.
+        let max_uncovered =
+            self.rel.n_rows() - support_threshold(self.rel.n_rows(), self.opts.min_support);
+        let exact = max_uncovered == 0;
         // Worker-utilization bookkeeping (gauge — not thread-invariant by
         // design, unlike every counter below).
         let mut busy_us: u64 = 0;
@@ -185,6 +187,10 @@ impl<'a> FastOfd<'a> {
         let mut sigma: Vec<DiscoveredOfd> = Vec::new();
         let mut stats = DiscoveryStats::default();
         let mut scratch = ProductScratch::default();
+        // Verification counters: one scratch for the sequential path, one
+        // per worker thread, each reused across levels.
+        let mut verify_scratch: Vec<VerifyScratch> = Vec::new();
+        verify_scratch.resize_with(self.opts.threads.max(1), VerifyScratch::default);
 
         // Byte-budgeted partition cache (result-neutral: partitions are
         // canonical however produced, so Σ is identical at any budget).
@@ -486,7 +492,7 @@ impl<'a> FastOfd<'a> {
                 resolved
             };
 
-            let decide_one = |i: usize| {
+            let decide_one = |i: usize, scratch: &mut VerifyScratch| {
                 faults.delay();
                 faults.worker_panic();
                 if let Some(pre) = prechecked[i] {
@@ -499,22 +505,25 @@ impl<'a> FastOfd<'a> {
                     kind: self.opts.kind,
                 };
                 let lhs_partition = resolved[pi].as_ref().expect("resolved before decisions");
-                self.decide_data(&index, &ofd, lhs_partition, exact)
+                self.decide_data(&index, &ofd, lhs_partition, max_uncovered, scratch)
             };
             // Panic isolation: a worker panic (a bug in verification, or
             // an injected fault) is caught, recorded as the sticky
             // `WorkerPanic` interrupt, and degrades the run to the same
             // sound partial result every other interrupt produces — the
-            // process never aborts.
-            let decide_caught = |i: usize| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decide_one(i))) {
+            // process never aborts. The tripped guard stops every later
+            // decision, and `covered_within` resets its scratch on entry
+            // anyway, so counters a panic left behind are never read.
+            let decide_caught =
+                |i: usize, scratch: &mut VerifyScratch| match std::panic::catch_unwind(
+                    std::panic::AssertUnwindSafe(|| decide_one(i, scratch)),
+                ) {
                     Ok(out) => Some(out),
                     Err(_) => {
                         guard.trip_external(ofd_core::Interrupt::WorkerPanic);
                         None
                     }
-                }
-            };
+                };
             // Per-candidate checkpoint: a `None` decision means the guard
             // tripped before that candidate was examined (or the worker
             // deciding it panicked) — it is simply not part of the
@@ -524,8 +533,9 @@ impl<'a> FastOfd<'a> {
             let decisions: Vec<Option<(bool, f64, Decision)>> = if self.opts.threads <= 1
                 || jobs.len() < 2 * self.opts.threads
             {
+                let scratch = &mut verify_scratch[0];
                 let out = (0..jobs.len())
-                    .map(|i| guard.check().ok().and_then(|()| decide_caught(i)))
+                    .map(|i| guard.check().ok().and_then(|()| decide_caught(i, scratch)))
                     .collect();
                 let wall = verify_started.elapsed().as_micros() as u64;
                 busy_us += wall;
@@ -538,7 +548,7 @@ impl<'a> FastOfd<'a> {
                 let mut slots: Vec<Option<(bool, f64, Decision)>> = vec![None; jobs.len()];
                 let slot_ptr = SlotWriter(slots.as_mut_ptr());
                 std::thread::scope(|scope| {
-                    for _ in 0..n_threads {
+                    for scratch in verify_scratch.iter_mut().take(n_threads) {
                         let counter = &counter;
                         let worker_busy = &worker_busy;
                         let jobs = &jobs;
@@ -555,7 +565,7 @@ impl<'a> FastOfd<'a> {
                                 if i >= jobs.len() {
                                     break;
                                 }
-                                let Some(out) = decide_caught(i) else {
+                                let Some(out) = decide_caught(i, scratch) else {
                                     // This worker panicked; the guard is
                                     // tripped, so every worker (including
                                     // this one) stops at its next probe.
@@ -883,40 +893,38 @@ impl<'a> FastOfd<'a> {
         }
         // The sample oracle, consulted strictly before the full-relation
         // scan it exists to avoid. A refutation is sound on the full
-        // relation, and the `(false, 1.0, _)` shape matches what the exact
-        // check would have returned for the same candidate.
+        // relation, and the `(false, 1.0, _)` shape matches what the data
+        // path returns for the same candidate.
         evidence
             .filter(|ev| ev.refutes(ofd.lhs, ofd.rhs))
             .map(|_| (false, 1.0, Decision::SampleRefuted))
     }
 
     /// Decides one candidate against the data: (valid?, support, how).
+    ///
+    /// `max_uncovered` is the run's κ budget `n − ceil(κ·n)`, so the
+    /// kernel's verdict is [`ofd_core::meets_support`]'s exact integer
+    /// comparison, shared with the brute-force oracle. It stops counting
+    /// once the budget is lost, which is where most candidates end; a
+    /// failed candidate's support is never read. A passing one's support
+    /// is `covered / n`, the same f64 as [`ofd_core::Validation::support`].
     fn decide_data(
         &self,
         index: &SenseIndex,
         ofd: &Ofd,
         lhs_partition: &StrippedPartition,
-        exact: bool,
+        max_uncovered: usize,
+        scratch: &mut VerifyScratch,
     ) -> (bool, f64, Decision) {
         // Opt-3: a superkey antecedent has no non-singleton classes.
         if self.opts.use_opt3 && lhs_partition.is_superkey() {
             return (true, 1.0, Decision::KeyShortcut);
         }
-        if exact {
-            // Early-exit on the first violating class — the hot path, since
-            // most lattice candidates fail.
-            let ok = check_ofd_exact(self.rel, index, ofd, lhs_partition);
-            (ok, 1.0, Decision::Verified)
-        } else {
-            // The κ comparison is exact integer arithmetic shared with the
-            // brute-force oracle ([`ofd_core::meets_support`]); the f64
-            // support is carried for display only.
-            let validation = check_ofd_with_index(self.rel, index, ofd, lhs_partition);
-            (
-                validation.meets_support(self.opts.min_support),
-                validation.support(),
-                Decision::Verified,
-            )
+        let n = self.rel.n_rows();
+        match covered_within(self.rel, index, ofd, lhs_partition, max_uncovered, scratch) {
+            Some(_) if n == 0 => (true, 1.0, Decision::Verified),
+            Some(covered) => (true, covered as f64 / n as f64, Decision::Verified),
+            None => (false, 1.0, Decision::Verified),
         }
     }
 }

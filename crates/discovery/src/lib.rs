@@ -743,6 +743,35 @@ mod tests {
             prop_assert_eq!(fast, brute);
         }
 
+        /// FastOFD equals brute force at every support boundary of the
+        /// instance — each κ = j/n and a hair above it — and every emitted
+        /// support is bit-identical to the validator's, under synonym and
+        /// θ = 1 inheritance semantics.
+        #[test]
+        fn fastofd_equals_brute_force_at_every_support_boundary((rel, onto) in arb_instance()) {
+            let n = rel.n_rows();
+            let validator = ofd_core::Validator::new(&rel, &onto);
+            for kind in [OfdKind::Synonym, OfdKind::Inheritance { theta: 1 }] {
+                for j in 0..=n {
+                    let at = j as f64 / n as f64;
+                    for kappa in [at, at + 1e-9].into_iter().filter(|&k| k > 0.0 && k <= 1.0) {
+                        let fast: Vec<(Ofd, u64)> = FastOfd::new(&rel, &onto)
+                            .options(DiscoveryOptions::new().kind(kind).min_support(kappa))
+                            .run()
+                            .ofds
+                            .iter()
+                            .map(|d| (d.ofd, d.support.to_bits()))
+                            .collect();
+                        let brute: Vec<(Ofd, u64)> = brute_force(&rel, &onto, kind, kappa)
+                            .into_iter()
+                            .map(|o| (o, validator.check(&o).support().to_bits()))
+                            .collect();
+                        prop_assert_eq!(fast, brute, "{:?} at κ = {}", kind, kappa);
+                    }
+                }
+            }
+        }
+
         /// Cache-on and cache-off runs agree on Σ over random instances and
         /// thread counts (the perf-layer result-neutrality contract).
         #[test]

@@ -132,11 +132,28 @@ impl DiscoveryOptions {
         self
     }
 
-    /// Sets the approximate-discovery support threshold κ.
-    pub fn min_support(mut self, kappa: f64) -> Self {
-        assert!((0.0..=1.0).contains(&kappa), "κ must be in (0, 1]");
+    /// Sets the approximate-discovery support threshold κ, or says why it
+    /// is out of range. This is the one κ range check: the CLI and the
+    /// served endpoints turn its error into a typed reply, and
+    /// [`DiscoveryOptions::min_support`] asserts it.
+    pub fn try_min_support(mut self, kappa: f64) -> Result<Self, String> {
+        // Written so that NaN fails too.
+        if !(kappa > 0.0 && kappa <= 1.0) {
+            return Err(format!("κ must be in (0, 1], got {kappa}"));
+        }
         self.min_support = kappa;
-        self
+        Ok(self)
+    }
+
+    /// Sets the approximate-discovery support threshold κ.
+    ///
+    /// # Panics
+    ///
+    /// When κ is outside (0, 1]; use
+    /// [`DiscoveryOptions::try_min_support`] for untrusted input.
+    pub fn min_support(self, kappa: f64) -> Self {
+        self.try_min_support(kappa)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Caps the lattice traversal at `level`.
@@ -268,5 +285,22 @@ mod tests {
     #[should_panic(expected = "κ must be in")]
     fn rejects_bad_support() {
         let _ = DiscoveryOptions::new().min_support(1.5);
+    }
+
+    #[test]
+    fn support_range_is_checked_in_one_place() {
+        for bad in [0.0, -0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let err = DiscoveryOptions::new().try_min_support(bad).unwrap_err();
+            assert!(err.starts_with("κ must be in (0, 1]"), "{bad}: {err}");
+        }
+        for good in [1e-9, 0.5, 1.0] {
+            assert_eq!(
+                DiscoveryOptions::new()
+                    .try_min_support(good)
+                    .unwrap()
+                    .min_support,
+                good
+            );
+        }
     }
 }

@@ -449,10 +449,9 @@ fn discover(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
         .obs(ctx.obs.clone())
         .faults(ctx.faults.clone());
     if let Some(kappa) = opt_f64(body, "kappa")? {
-        if !(0.0..=1.0).contains(&kappa) || kappa == 0.0 {
-            return Err(BadRequest("\"kappa\" must be in (0, 1]".into()));
-        }
-        opts = opts.min_support(kappa);
+        opts = opts
+            .try_min_support(kappa)
+            .map_err(|_| BadRequest("\"kappa\" must be in (0, 1]".into()))?;
     }
     if let Some(theta) = opt_u64(body, "theta")? {
         opts = opts.kind(OfdKind::Inheritance {
@@ -681,6 +680,22 @@ mod tests {
             // must come back as a client error, not a panic.
             Err(BadRequest(msg)) => assert!(!msg.is_empty()),
         }
+    }
+
+    #[test]
+    fn out_of_range_kappa_is_a_bad_request() {
+        let with_kappa = |kappa: f64| {
+            let mut body = sample_body();
+            if let Value::Object(fields) = &mut body {
+                fields.push(("kappa".into(), json!(kappa)));
+            }
+            body
+        };
+        for kappa in [0.0, -0.1, 1.5] {
+            let err = discover(&with_kappa(kappa), &ctx()).expect_err("κ out of range");
+            assert_eq!(err.0, "\"kappa\" must be in (0, 1]", "κ = {kappa}");
+        }
+        assert!(discover(&with_kappa(0.9), &ctx()).is_ok());
     }
 
     #[test]

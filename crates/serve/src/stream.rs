@@ -617,10 +617,9 @@ fn open_session(
                 .obs(ctx.obs.clone())
                 .faults(ctx.faults.clone());
             if let Some(kappa) = opt_f64(body, "kappa").map_err(JobError::from)? {
-                if !(0.0..=1.0).contains(&kappa) || kappa == 0.0 {
-                    return Err(JobError::BadRequest("\"kappa\" must be in (0, 1]".into()));
-                }
-                opts = opts.min_support(kappa);
+                opts = opts
+                    .try_min_support(kappa)
+                    .map_err(|_| JobError::BadRequest("\"kappa\" must be in (0, 1]".into()))?;
             }
             if let Some(theta) = theta {
                 opts = opts.kind(OfdKind::Inheritance { theta });

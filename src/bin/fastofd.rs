@@ -156,7 +156,7 @@ fn run() -> Result<ExitCode, String> {
             let (rel, onto) = load(&single("data"), &single("ontology"))?;
             let mut opts = DiscoveryOptions::new();
             if let Some(kappa) = single("kappa") {
-                opts = opts.min_support(kappa.parse().map_err(|_| "--kappa expects a float")?);
+                opts = opts.min_support(parse_kappa(kappa)?);
             }
             if let Some(theta) = single("theta") {
                 opts = opts.kind(fastofd::core::OfdKind::Inheritance {
@@ -328,10 +328,7 @@ fn run() -> Result<ExitCode, String> {
             // §5: discover κ-approximate OFDs on the (dirty) data, then
             // repair until they hold exactly.
             let (rel, onto) = load(&single("data"), &single("ontology"))?;
-            let kappa: f64 = single("kappa")
-                .unwrap_or("0.9")
-                .parse()
-                .map_err(|_| "--kappa expects a float")?;
+            let kappa = parse_kappa(single("kappa").unwrap_or("0.9"))?;
             let max_level: Option<usize> = match single("max-level") {
                 Some(l) => Some(l.parse().map_err(|_| "--max-level")?),
                 None => Some(3),
@@ -681,6 +678,16 @@ fn guard_from_flags(flags: &HashMap<String, Vec<String>>) -> Result<ExecGuard, S
         cfg.max_rss_mib = Some(m.parse().map_err(|_| "--max-rss-mib expects an integer")?);
     }
     Ok(ExecGuard::new(cfg))
+}
+
+/// Parses `--kappa` for `discover` and `enforce`: a float in (0, 1], range
+/// checked by [`DiscoveryOptions::try_min_support`].
+fn parse_kappa(text: &str) -> Result<f64, String> {
+    let kappa: f64 = text.parse().map_err(|_| "--kappa expects a float")?;
+    DiscoveryOptions::new()
+        .try_min_support(kappa)
+        .map(|_| kappa)
+        .map_err(|e| format!("--kappa: {e}"))
 }
 
 fn load(

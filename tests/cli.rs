@@ -192,6 +192,49 @@ fn incomplete_run_exits_with_code_3() {
 }
 
 #[test]
+fn out_of_range_kappa_is_a_typed_error() {
+    let dir = tmp_dir("kappa");
+    let data = dir.join("d.csv");
+    let onto = dir.join("o.txt");
+    let out = bin()
+        .args(["generate", "--preset", "clinical", "--rows", "200", "--seed", "5"])
+        .args(["--out", data.to_str().unwrap()])
+        .args(["--onto-out", onto.to_str().unwrap()])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let run = |command: &str, kappa: &str| {
+        bin()
+            .args([command, "--data", data.to_str().unwrap()])
+            .args(["--ontology", onto.to_str().unwrap()])
+            .args(["--kappa", kappa, "--max-level", "2"])
+            .output()
+            .expect("run with --kappa")
+    };
+    for (command, kappa) in [
+        ("discover", "1.5"),
+        ("discover", "nan"),
+        ("discover", "-0.1"),
+        ("discover", "0"),
+        ("discover", "abc"),
+        ("enforce", "1.5"),
+        ("enforce", "0"),
+    ] {
+        let out = run(command, kappa);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{command} --kappa {kappa}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        assert!(stderr.contains("error:"), "{what}");
+        assert!(!stderr.contains("panicked"), "{what}");
+    }
+    let out = run("discover", "0.9");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("->"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bad_usage_fails_cleanly() {
     let out = bin().output().expect("run with no args");
     assert!(!out.status.success());
