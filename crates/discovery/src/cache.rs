@@ -1,22 +1,24 @@
 //! Memory-budgeted cache of stripped partitions Π*_X for the lattice.
 //!
-//! With the cache enabled, FastOFD's lattice nodes stop owning their
-//! partitions: every Π*_X is produced through [`PartitionCache::produce`],
-//! which reuses a resident copy when one exists and otherwise computes the
-//! partition from the **cheapest available operand pair** — the two cached
-//! parents with the smallest `‖Π*‖`, one cached parent times its missing
-//! pinned level-1 attribute partition, or (when no parent is resident) a
-//! chain of products over the pinned level-1 partitions of X. Because
-//! partitions are canonical by construction, every route yields
-//! byte-identical CSR arrays, so cache configuration can never change Σ.
+//! It is FastOFD's one source of partitions. Lattice nodes own none: each
+//! antecedent Π*_X that a data decision reads is produced through
+//! [`PartitionCache::produce`] when it is first read, which reuses a
+//! resident copy when one exists and otherwise computes the partition from
+//! the **cheapest available operand pair** — the two cached parents with
+//! the smallest `‖Π*‖`, one cached parent times its missing pinned level-1
+//! attribute partition, or (when no parent is resident) a chain of products
+//! over the pinned level-1 partitions of X. Because partitions are
+//! canonical by construction, every route yields byte-identical CSR arrays,
+//! so the budget can never change Σ.
 //!
 //! Byte accounting uses [`StrippedPartition::approx_bytes`] (exact for the
 //! CSR arrays). Insertions evict least-recently-used unpinned entries until
-//! the resident total fits the budget; level-1 attribute partitions are
-//! pinned — they are the universal fallback operands and together cost at
-//! most one `u32` per cell of the relation. Outstanding [`Arc`] references
-//! keep evicted partitions alive until their borrowers finish, so eviction
-//! is always safe mid-level.
+//! the resident total fits the budget; level-0/1 partitions are pinned —
+//! they are the universal fallback operands and together cost at most one
+//! `u32` per cell of the relation. A budget of 0 keeps only the pinned
+//! partitions. Outstanding [`Arc`] references keep evicted partitions
+//! alive until their borrowers finish, so eviction is always safe
+//! mid-level.
 
 use std::sync::Arc;
 
@@ -37,9 +39,10 @@ pub struct CacheStats {
     /// High-water mark of resident bytes.
     pub peak_resident_bytes: u64,
     /// Misses computed by one product of a resident parent with another
-    /// resident operand. The other `misses − products` were built from the
-    /// pinned level-1 partitions alone (a chain of products when no parent
-    /// was resident) or, for `|X| < 2`, by a direct scan.
+    /// resident operand, emitted as `discovery.partition.products`. The
+    /// other `misses − products` were built from the pinned level-1
+    /// partitions alone (a chain of products when no parent was resident)
+    /// or, for `|X| < 2`, by a direct scan.
     pub products: u64,
 }
 
@@ -57,16 +60,20 @@ pub(crate) struct PartitionCache {
     resident_bytes: u64,
     clock: u64,
     stats: CacheStats,
+    obs: Obs,
 }
 
 impl PartitionCache {
-    pub(crate) fn new(budget_mib: usize) -> PartitionCache {
+    /// A cache holding at most `budget_mib` MiB of unpinned partitions
+    /// (a budget past `u64::MAX` bytes saturates), recording into `obs`.
+    pub(crate) fn new(budget_mib: usize, obs: Obs) -> PartitionCache {
         PartitionCache {
             entries: FxHashMap::default(),
-            budget_bytes: (budget_mib as u64) << 20,
+            budget_bytes: (budget_mib as u64).saturating_mul(1 << 20),
             resident_bytes: 0,
             clock: 0,
             stats: CacheStats::default(),
+            obs,
         }
     }
 
@@ -147,6 +154,11 @@ impl PartitionCache {
         }
         self.stats.misses += 1;
         let part = Arc::new(self.compute(rel, attrs, scratch));
+        self.obs.observe(
+            "discovery.partition.class_count",
+            CLASS_COUNT_BOUNDS,
+            part.class_count() as f64,
+        );
         self.insert(bits, Arc::clone(&part), false);
         part
     }
@@ -237,8 +249,10 @@ impl PartitionCache {
         }
     }
 
-    /// Emits the cache counters/gauges under `discovery.partition.cache.*`.
-    pub(crate) fn flush_obs(&self, obs: &Obs) {
+    /// Emits `discovery.partition.products` ([`CacheStats::products`]) and
+    /// the counters/gauges under `discovery.partition.cache.*`.
+    pub(crate) fn flush_obs(&self) {
+        let obs = &self.obs;
         if !obs.is_enabled() {
             return;
         }
@@ -246,12 +260,14 @@ impl PartitionCache {
         // Touch first: the counters are schema-pinned, so they must appear
         // in snapshots even when a total is zero (`Obs::add` drops zeros).
         for name in [
+            "discovery.partition.products",
             "discovery.partition.cache.hits",
             "discovery.partition.cache.misses",
             "discovery.partition.cache.evicted_bytes",
         ] {
             obs.touch_counter(name);
         }
+        obs.add("discovery.partition.products", s.products);
         obs.add("discovery.partition.cache.hits", s.hits);
         obs.add("discovery.partition.cache.misses", s.misses);
         obs.add("discovery.partition.cache.evicted_bytes", s.evicted_bytes);
@@ -265,6 +281,12 @@ impl PartitionCache {
         );
     }
 }
+
+/// Bucket boundaries for the class-count histogram of computed partitions
+/// (`discovery.partition.class_count`).
+const CLASS_COUNT_BOUNDS: &[f64] = &[
+    0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0, 4096.0, 16384.0,
+];
 
 #[cfg(test)]
 mod tests {
@@ -285,7 +307,7 @@ mod tests {
     #[test]
     fn produce_hits_after_insert_and_matches_direct() {
         let rel = table1();
-        let mut cache = PartitionCache::new(64);
+        let mut cache = PartitionCache::new(64, Obs::disabled());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let x = attr_set(&rel, &["CC", "SYMP"]);
@@ -302,7 +324,7 @@ mod tests {
         // Whatever operands the cache picks, canonical CSR makes the result
         // equal the direct computation — over all 2- and 3-subsets.
         let rel = table1();
-        let mut cache = PartitionCache::new(64);
+        let mut cache = PartitionCache::new(64, Obs::disabled());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let attrs: Vec<AttrId> = rel.schema().attrs().collect();
@@ -324,7 +346,7 @@ mod tests {
 
     #[test]
     fn pinned_chain_equals_direct_without_resident_parents() {
-        // Lazy discovery asks for Π*_X with no parent resident: the chain
+        // Discovery may ask for Π*_X with no parent resident: the chain
         // over pinned level-1 partitions must reproduce the direct
         // partition (superkeys included), insert only Π*_X and count one
         // miss and no resident-parent product.
@@ -335,7 +357,7 @@ mod tests {
             if x.len() < 3 {
                 continue;
             }
-            let mut cache = PartitionCache::new(64);
+            let mut cache = PartitionCache::new(64, Obs::disabled());
             let mut scratch = ProductScratch::default();
             seed_level1(&mut cache, &rel);
             let got = cache.produce(&rel, x, &mut scratch);
@@ -350,7 +372,7 @@ mod tests {
     fn eviction_respects_budget_and_pins() {
         let rel = table1();
         // A zero-MiB budget: nothing unpinned survives, pins stay.
-        let mut cache = PartitionCache::new(0);
+        let mut cache = PartitionCache::new(0, Obs::disabled());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let pinned_bytes = cache.stats().resident_bytes;
@@ -368,7 +390,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used_first() {
         let rel = table1();
-        let mut cache = PartitionCache::new(64);
+        let mut cache = PartitionCache::new(64, Obs::disabled());
         let mut scratch = ProductScratch::default();
         seed_level1(&mut cache, &rel);
         let x = attr_set(&rel, &["CC", "SYMP"]);
@@ -382,5 +404,50 @@ mod tests {
         assert!(cache.peek(x.bits()).is_some(), "recently used survives");
         assert!(cache.peek(y.bits()).is_none(), "LRU entry evicted");
         assert!(cache.stats().evicted_bytes > 0);
+    }
+
+    #[test]
+    fn huge_budget_saturates_instead_of_wrapping() {
+        // 2^44 MiB is 2^64 bytes: a plain shift wraps it to a 0-byte budget.
+        let budget = |mib: usize| PartitionCache::new(mib, Obs::disabled()).budget_bytes;
+        assert_eq!(budget(1 << 44), u64::MAX);
+        assert_eq!(budget(usize::MAX), u64::MAX);
+        assert_eq!(budget(1), 1 << 20);
+        assert_eq!(budget(0), 0);
+        // And the huge budget retains what it computes.
+        let rel = table1();
+        let mut cache = PartitionCache::new(1 << 44, Obs::disabled());
+        let mut scratch = ProductScratch::default();
+        seed_level1(&mut cache, &rel);
+        let x = attr_set(&rel, &["CC", "SYMP"]);
+        let _ = cache.produce(&rel, x, &mut scratch);
+        let _ = cache.produce(&rel, x, &mut scratch);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+    }
+
+    #[test]
+    fn flush_reports_products_and_one_class_count_per_computed_partition() {
+        let rel = table1();
+        let obs = Obs::enabled();
+        let mut cache = PartitionCache::new(64, obs.clone());
+        let mut scratch = ProductScratch::default();
+        seed_level1(&mut cache, &rel);
+        let x = attr_set(&rel, &["CC", "SYMP"]);
+        let xy = attr_set(&rel, &["CC", "SYMP", "DIAG"]);
+        for set in [x, x, xy] {
+            let _ = cache.produce(&rel, set, &mut scratch);
+        }
+        cache.flush_obs();
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.products), (1, 2, 2));
+        let m = obs.snapshot();
+        assert_eq!(m.counter("discovery.partition.products"), Some(2));
+        assert_eq!(m.counter("discovery.partition.cache.misses"), Some(2));
+        let (_, h) = m
+            .histograms
+            .iter()
+            .find(|(name, _)| name == "discovery.partition.class_count")
+            .expect("class-count histogram");
+        assert_eq!(h.count, s.misses);
     }
 }

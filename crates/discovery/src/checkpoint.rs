@@ -217,7 +217,7 @@ mod tests {
             fingerprint(&rel, &onto, &DiscoveryOptions::default().threads(8))
         );
         // The partition cache is result-neutral, so its budget is excluded:
-        // a snapshot written cache-on resumes cache-off and vice versa.
+        // a snapshot written at one budget resumes at any other.
         assert_eq!(
             base,
             fingerprint(&rel, &onto, &DiscoveryOptions::default().partition_cache_mib(0))

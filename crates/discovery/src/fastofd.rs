@@ -7,10 +7,11 @@
 //! pruning (Opt-2); note they deliberately *omit* TANE's extra RHS⁺ rule,
 //! which is unsound for OFDs (§4.1).
 //!
-//! Stripped partitions flow down the lattice by linear-time products, so the
-//! whole run is polynomial in the number of tuples and exponential (in the
-//! worst case) only in the number of attributes — matching the paper's
-//! complexity analysis.
+//! Nodes carry no partitions: each antecedent Π*_X that a data decision
+//! reads is produced on demand, by linear-time products through the
+//! [`PartitionCache`], so the whole run is polynomial in the number of
+//! tuples and exponential (in the worst case) only in the number of
+//! attributes — matching the paper's complexity analysis.
 
 use ofd_core::FxHashMap;
 use std::sync::Arc;
@@ -113,13 +114,10 @@ struct Node {
     attrs: AttrSet,
     /// Candidate consequents `C⁺(X)`; `schema.all()` when Opt-2 is off.
     c_plus: AttrSet,
-    /// The node-owned partition Π*_X — `Some` only when the partition
-    /// cache is disabled. With the cache on, partitions live in (and are
-    /// re-produced through) the [`PartitionCache`] instead, so residency is
-    /// byte-bounded.
-    partition: Option<Arc<StrippedPartition>>,
-    /// Whether Π*_X is empty (X is a superkey) — retained on the node so
-    /// Opt-3 never needs the partition to be resident.
+    /// Whether X is known to be a superkey (Π*_X empty): set for level-0/1
+    /// nodes from their pinned partitions and, under Opt-3, for children of
+    /// a known superkey. `false` means "not known" — the data path
+    /// re-checks the partition it resolves.
     superkey: bool,
 }
 
@@ -192,34 +190,26 @@ impl<'a> FastOfd<'a> {
         let mut verify_scratch: Vec<VerifyScratch> = Vec::new();
         verify_scratch.resize_with(self.opts.threads.max(1), VerifyScratch::default);
 
-        // Byte-budgeted partition cache (result-neutral: partitions are
-        // canonical however produced, so Σ is identical at any budget).
-        // Level-0/1 partitions are pinned — they are the universal operand
-        // fallbacks for every later product.
-        let mut cache: Option<PartitionCache> = (self.opts.partition_cache_mib > 0)
-            .then(|| PartitionCache::new(self.opts.partition_cache_mib));
-        if let Some(c) = cache.as_mut() {
-            let _span = obs.span("fastofd.cache.seed");
-            for a in schema.attrs() {
-                let sp = Arc::new(StrippedPartition::of_attr(self.rel, a));
-                c.insert(AttrSet::single(a).bits(), sp, true);
-            }
-        }
-
-        // Level 0: the empty antecedent.
+        // The one source of partitions: a byte-budgeted cache that
+        // produces Π*_X when a data decision first reads it (result-neutral:
+        // partitions are canonical however produced, so Σ is identical at
+        // any budget). Level-0/1 partitions are pinned — they are the
+        // universal operand fallbacks for every later product.
+        let mut cache = PartitionCache::new(self.opts.partition_cache_mib, obs.clone());
         let level0 = Arc::new(StrippedPartition::of(self.rel, AttrSet::empty()));
         let mut prev: Vec<Node> = vec![Node {
             attrs: AttrSet::empty(),
             c_plus: all,
             superkey: level0.is_superkey(),
-            partition: match cache.as_mut() {
-                Some(c) => {
-                    c.insert(AttrSet::empty().bits(), level0, true);
-                    None
-                }
-                None => Some(level0),
-            },
         }];
+        {
+            let _span = obs.span("fastofd.cache.seed");
+            cache.insert(AttrSet::empty().bits(), level0, true);
+            for a in schema.attrs() {
+                let sp = Arc::new(StrippedPartition::of_attr(self.rel, a));
+                cache.insert(AttrSet::single(a).bits(), sp, true);
+            }
+        }
         let mut prev_index: FxHashMap<u64, usize> =
             std::iter::once((AttrSet::empty().bits(), 0)).collect();
 
@@ -243,29 +233,17 @@ impl<'a> FastOfd<'a> {
                     Some(rs) => {
                         sigma = rs.sigma;
                         stats.levels = rs.levels;
-                        // Stripped partitions are recomputed from the
-                        // relation; `StrippedPartition::of` equals the
-                        // product-built partition semantically, so every
-                        // later decision is unchanged.
+                        // Frontier partitions are produced on demand like
+                        // any other, from the pinned chains; the cache's
+                        // canonical Π*_X leaves every later decision
+                        // unchanged.
                         prev = rs
                             .frontier
                             .iter()
-                            .map(|&(attrs, c_plus)| {
-                                let sp = Arc::new(StrippedPartition::of(self.rel, attrs));
-                                let superkey = sp.is_superkey();
-                                let partition = match cache.as_mut() {
-                                    Some(c) => {
-                                        c.insert(attrs.bits(), sp, false);
-                                        None
-                                    }
-                                    None => Some(sp),
-                                };
-                                Node {
-                                    attrs,
-                                    c_plus,
-                                    partition,
-                                    superkey,
-                                }
+                            .map(|&(attrs, c_plus)| Node {
+                                attrs,
+                                c_plus,
+                                superkey: false,
                             })
                             .collect();
                         prev_index = prev
@@ -340,15 +318,8 @@ impl<'a> FastOfd<'a> {
                 out.evidence
             })
             .filter(|e| !e.is_empty());
-        // Lazy partition mode: with the sample oracle active (and the cache
-        // available to materialize on demand), `next_level` stops producing
-        // partitions eagerly — most candidates die on sampled evidence
-        // alone, so only antecedents of *surviving* candidates are ever
-        // materialized. Partition products dominate discovery cost at
-        // scale, which makes this deferral the sampled pipeline's
-        // wall-clock win; it is result-neutral because the cache produces
-        // canonical partitions whichever route computes them.
-        let lazy_partitions = evidence.is_some() && cache.is_some();
+        // The canonical Π* of every known superkey; no cache traffic.
+        let superkey_partition = Arc::new(StrippedPartition::empty(self.rel.n_rows()));
 
         for level in start_level..=max_level {
             // Per-level checkpoint: never start building a level once a
@@ -369,31 +340,17 @@ impl<'a> FastOfd<'a> {
                     .attrs()
                     .map(|a| {
                         let attrs = AttrSet::single(a);
-                        match cache.as_mut() {
-                            Some(c) => {
-                                // Seeded pinned at startup: always a hit.
-                                let sp = c.produce(self.rel, attrs, &mut scratch);
-                                Node {
-                                    attrs,
-                                    c_plus: all,
-                                    superkey: sp.is_superkey(),
-                                    partition: None,
-                                }
-                            }
-                            None => {
-                                let sp = Arc::new(self.attr_partition(a));
-                                Node {
-                                    attrs,
-                                    c_plus: all,
-                                    superkey: sp.is_superkey(),
-                                    partition: Some(sp),
-                                }
-                            }
+                        // Seeded pinned at startup: always a hit.
+                        let sp = cache.produce(self.rel, attrs, &mut scratch);
+                        Node {
+                            attrs,
+                            c_plus: all,
+                            superkey: sp.is_superkey(),
                         }
                     })
                     .collect()
             } else {
-                self.next_level(&prev, &prev_index, &mut scratch, &mut cache, lazy_partitions)
+                self.next_level(&prev, &prev_index)
             };
             ls.nodes = current.len();
 
@@ -448,11 +405,11 @@ impl<'a> FastOfd<'a> {
 
             // Partition-free pre-decisions: Opt-4 logic subsumption, then
             // the sample refutation oracle. Deciding these before
-            // partition resolution means (in lazy mode) refuted candidates
-            // never force a materialization. Soundness keeps attribution
-            // honest: a superkey antecedent implies a valid candidate,
-            // which no sound oracle can refute, so every KeyShortcut
-            // candidate still reaches the data path below.
+            // partition resolution means refuted candidates never force a
+            // product. Soundness keeps attribution honest: a superkey
+            // antecedent implies a valid candidate, which no sound oracle
+            // can refute, so every KeyShortcut candidate still reaches the
+            // data path below.
             let prechecked: Vec<Option<(bool, f64, Decision)>> = jobs
                 .iter()
                 .map(|&(_, a, lhs, _)| {
@@ -465,32 +422,22 @@ impl<'a> FastOfd<'a> {
                 })
                 .collect();
 
-            // Resolve each antecedent partition a data decision still
+            // Produce each antecedent partition a data decision still
             // needs, before any workers spawn: cache lookups stay on this
             // thread (counters remain thread-invariant) and workers only
             // read `Arc`s.
-            let resolved: Vec<Option<Arc<StrippedPartition>>> = {
-                let mut resolved: Vec<Option<Arc<StrippedPartition>>> = Vec::new();
-                resolved.resize_with(prev.len(), || None);
-                for (&(_, _, _, pi), pre) in jobs.iter().zip(prechecked.iter()) {
-                    if pre.is_some() || resolved[pi].is_some() {
-                        continue;
-                    }
-                    let node = &prev[pi];
-                    resolved[pi] = Some(if let Some(p) = &node.partition {
-                        Arc::clone(p)
-                    } else if node.superkey {
-                        // Canonical empty partition; no cache traffic.
-                        Arc::new(StrippedPartition::empty(self.rel.n_rows()))
-                    } else {
-                        cache
-                            .as_mut()
-                            .expect("cache is on when node partitions are deferred")
-                            .produce(self.rel, node.attrs, &mut scratch)
-                    });
+            let mut resolved: Vec<Option<Arc<StrippedPartition>>> = vec![None; prev.len()];
+            for (&(_, _, _, pi), pre) in jobs.iter().zip(prechecked.iter()) {
+                if pre.is_some() || resolved[pi].is_some() {
+                    continue;
                 }
-                resolved
-            };
+                let node = &prev[pi];
+                resolved[pi] = Some(if node.superkey {
+                    Arc::clone(&superkey_partition)
+                } else {
+                    cache.produce(self.rel, node.attrs, &mut scratch)
+                });
+            }
 
             let decide_one = |i: usize, scratch: &mut VerifyScratch| {
                 faults.delay();
@@ -723,10 +670,8 @@ impl<'a> FastOfd<'a> {
 
         sigma.sort_by_key(|d| (d.level, d.ofd.lhs.bits(), d.ofd.rhs));
         stats.elapsed = started.elapsed();
-        if let Some(c) = &cache {
-            c.flush_obs(obs);
-            stats.cache = Some(c.stats());
-        }
+        cache.flush_obs();
+        stats.cache = Some(cache.stats());
         let interrupt = guard.interrupt();
         if obs.is_enabled() {
             if capacity_us > 0 {
@@ -751,24 +696,14 @@ impl<'a> FastOfd<'a> {
         }
     }
 
-    fn attr_partition(&self, attr: AttrId) -> StrippedPartition {
-        StrippedPartition::of_attr(self.rel, attr)
-    }
-
-    /// Joins prefix blocks of the previous level into the next one.
-    fn next_level(
-        &self,
-        prev: &[Node],
-        prev_index: &FxHashMap<u64, usize>,
-        scratch: &mut ProductScratch,
-        cache: &mut Option<PartitionCache>,
-        lazy: bool,
-    ) -> Vec<Node> {
+    /// Joins prefix blocks of the previous level into the next one. Builds
+    /// nodes only: no partition is computed here, because each Π*_X is
+    /// produced when a data decision first reads it.
+    fn next_level(&self, prev: &[Node], prev_index: &FxHashMap<u64, usize>) -> Vec<Node> {
         // Sort node indices by attribute list; nodes sharing all but the
         // last attribute form a block.
         let obs = &self.opts.obs;
         let _span = obs.span("fastofd.next_level");
-        let mut products: u64 = 0;
         let mut products_skipped: u64 = 0;
         let mut order: Vec<usize> = (0..prev.len()).collect();
         order.sort_by_key(|&i| {
@@ -802,67 +737,19 @@ impl<'a> FastOfd<'a> {
                     if !parents_ok {
                         continue;
                     }
-                    if self.opts.use_opt3 && (a.superkey || b.superkey) {
-                        // Opt-3: supersets of superkeys are superkeys; skip
-                        // the product entirely.
-                        products_skipped += 1;
-                        out.push(Node {
-                            attrs,
-                            c_plus: all,
-                            superkey: true,
-                            partition: cache
-                                .is_none()
-                                .then(|| Arc::new(StrippedPartition::empty(self.rel.n_rows()))),
-                        });
-                        continue;
-                    }
-                    if lazy {
-                        // Lazy mode: defer the product. Π*_X is produced
-                        // through the cache only if a surviving candidate
-                        // ever needs it; `superkey: false` just means
-                        // "unknown" — the data path re-checks on the
-                        // materialized partition, so Opt-3 attribution is
-                        // unchanged.
-                        out.push(Node {
-                            attrs,
-                            c_plus: all,
-                            superkey: false,
-                            partition: None,
-                        });
-                        continue;
-                    }
-                    products += 1;
-                    let (p, partition) = match cache.as_mut() {
-                        Some(c) => {
-                            // First sight of X this run: the cache picks the
-                            // cheapest resident operand pair.
-                            (c.produce(self.rel, attrs, scratch), None)
-                        }
-                        None => {
-                            let left =
-                                a.partition.as_ref().expect("resident when cache off");
-                            let right =
-                                b.partition.as_ref().expect("resident when cache off");
-                            let p = Arc::new(left.product_with_scratch(right, scratch));
-                            (Arc::clone(&p), Some(p))
-                        }
-                    };
-                    obs.observe(
-                        "discovery.partition.class_count",
-                        CLASS_COUNT_BOUNDS,
-                        p.class_count() as f64,
-                    );
+                    // Opt-3: supersets of superkeys are superkeys, so this
+                    // child's product is never needed.
+                    let superkey = self.opts.use_opt3 && (a.superkey || b.superkey);
+                    products_skipped += u64::from(superkey);
                     out.push(Node {
                         attrs,
                         c_plus: all,
-                        superkey: p.is_superkey(),
-                        partition,
+                        superkey,
                     });
                 }
             }
             block_start = block_end;
         }
-        obs.add("discovery.partition.products", products);
         obs.add("discovery.prune.opt3.products_skipped", products_skipped);
         out
     }
@@ -870,8 +757,8 @@ impl<'a> FastOfd<'a> {
     /// Decides a candidate without touching any partition, when possible:
     /// Opt-4 logic subsumption first, then the sample refutation oracle.
     ///
-    /// Runs before partition resolution so that, in lazy mode, a
-    /// pre-decided candidate never forces a materialization. Ordering
+    /// Runs before partition resolution so that a pre-decided candidate
+    /// never forces a product. Ordering
     /// Opt-4 ahead of the oracle keeps Σ byte-identical with sampling off
     /// even when `known_fds` do not actually hold on the instance (an
     /// FD-implied candidate is emitted either way, as Opt-4's contract
@@ -948,12 +835,6 @@ enum Decision {
 /// threads (each index claimed once through an atomic counter).
 struct SlotWriter<T>(*mut Option<T>);
 unsafe impl<T: Send> Sync for SlotWriter<T> {}
-
-/// Bucket boundaries for the partition class-count histogram
-/// (`discovery.partition.class_count`).
-const CLASS_COUNT_BOUNDS: &[f64] = &[
-    0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 1024.0, 4096.0, 16384.0,
-];
 
 fn last_attr(set: AttrSet) -> AttrId {
     set.iter().last().expect("non-empty lattice node")

@@ -80,13 +80,15 @@ pub struct DiscoveryOptions {
     /// any round count (and the knob is excluded from the checkpoint
     /// fingerprint). `0` disables sampling.
     pub sample_rounds: usize,
-    /// Byte budget (MiB) of the partition cache retaining computed Π*_X
-    /// across lattice levels with LRU eviction; `0` disables the cache and
-    /// restores node-owned partitions with fixed parent-pair products.
-    /// Like [`DiscoveryOptions::threads`], this is result-neutral —
-    /// partitions are canonical however they are produced, so Σ and the
-    /// per-level stats are byte-identical at any budget (and the setting is
-    /// deliberately excluded from the checkpoint fingerprint).
+    /// Byte budget (MiB) of the partition cache, which produces each Π*_X
+    /// a data decision reads and retains computed partitions across
+    /// lattice levels with LRU eviction. It bounds memory only: `0` keeps
+    /// just the pinned level-0/1 partitions, and every later Π*_X is then
+    /// recomputed from them when read. Like [`DiscoveryOptions::threads`],
+    /// this is result-neutral — partitions are canonical however they are
+    /// produced, so Σ and the per-level stats are byte-identical at any
+    /// budget (and the setting is deliberately excluded from the checkpoint
+    /// fingerprint).
     pub partition_cache_mib: usize,
 }
 
@@ -216,8 +218,9 @@ impl DiscoveryOptions {
         self
     }
 
-    /// Sets the partition-cache byte budget in MiB (`0` disables the
-    /// cache). Result-neutral: any budget yields byte-identical Σ.
+    /// Sets the partition-cache byte budget in MiB (`0` keeps only the
+    /// pinned level-0/1 partitions). Result-neutral: any budget yields
+    /// byte-identical Σ.
     pub fn partition_cache_mib(mut self, mib: usize) -> Self {
         self.partition_cache_mib = mib;
         self

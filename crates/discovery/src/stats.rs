@@ -35,9 +35,11 @@ pub struct DiscoveryStats {
     pub levels: Vec<LevelStats>,
     /// Total wall-clock time.
     pub elapsed: Duration,
-    /// Partition-cache counters (`None` when the cache is disabled).
-    /// Cache behaviour is result-neutral, so these are excluded from the
-    /// byte-identical-Σ contract — only Σ and the per-level counters are.
+    /// Partition-cache counters: `Some` for every run (whatever the
+    /// budget; a budget of 0 keeps only the pinned level-0/1 partitions),
+    /// `None` only in a default-constructed value. Cache behaviour is
+    /// result-neutral, so these are excluded from the byte-identical-Σ
+    /// contract — only Σ and the per-level counters are.
     pub cache: Option<crate::cache::CacheStats>,
 }
 

@@ -172,7 +172,7 @@ fn run() -> Result<ExitCode, String> {
             if let Some(mib) = single("partition-cache-mib") {
                 opts = opts.partition_cache_mib(
                     mib.parse()
-                        .map_err(|_| "--partition-cache-mib expects MiB (0 disables)")?,
+                        .map_err(|_| "--partition-cache-mib expects MiB (0 keeps level 1 only)")?,
                 );
             }
             if let Some(rounds) = single("sample-rounds") {
@@ -582,7 +582,8 @@ fn usage() -> String {
      execution limits (discover/clean/enforce): --timeout-ms N --max-work N --max-rss-mib N\n\
      observability (discover/clean/enforce): --metrics-out metrics.json --trace\n\
      crash safety (discover/clean/enforce): --checkpoint-dir DIR [--resume]\n\
-     performance (discover): --partition-cache-mib M (0 disables; default 256)\n\
+     performance (discover): --partition-cache-mib M (partition memory bound; 0 keeps only\n\
+              the pinned level-1 partitions; default 256)\n\
      sampling pre-filter (discover, exact mode; result-neutral): --sample-rounds N (default\n\
               2, 0 disables) — HyFD-style sampled evidence refutes candidates before any\n\
               full-relation scan or partition product\n\

@@ -41,8 +41,8 @@ fn clinical_2k_approximate_discovery_counts_are_pinned() {
         assert_eq!(verified, [15, 196, 1159, 2869], "threads={threads}");
         assert_eq!(found, [0, 16, 162, 982], "threads={threads}");
         assert_eq!(counter("discovery.candidates"), 4_253);
-        assert_eq!(counter("discovery.partition.products"), 1_425);
-        assert_eq!(counter("discovery.partition.cache.hits"), 390);
-        assert_eq!(counter("discovery.partition.cache.misses"), 1_425);
+        assert_eq!(counter("discovery.partition.products"), 360);
+        assert_eq!(counter("discovery.partition.cache.hits"), 30);
+        assert_eq!(counter("discovery.partition.cache.misses"), 360);
     }
 }

@@ -38,19 +38,31 @@ fn dataset(rows: usize, seed: u64) -> fastofd::datagen::Dataset {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Discovery: kill at a random checkpoint, resume, compare Σ.
+    /// Discovery: kill at a random checkpoint, resume, compare Σ — exact
+    /// and approximate, with a generous cache and with one that keeps only
+    /// the pinned level-1 partitions (a resumed frontier's partitions are
+    /// produced on demand from them).
     #[test]
     fn discovery_resume_is_exact(
         seed in 0u64..1_000,
         rows in 60usize..140,
         kill_at in 1u64..1_500,
+        kappa_at in 0usize..2,
+        mib_at in 0usize..2,
     ) {
         let ds = dataset(rows, seed);
-        let base = || DiscoveryOptions::new().max_level(3);
+        let kappa = [1.0, 0.9][kappa_at];
+        let mib = [0usize, 256][mib_at];
+        let base = || {
+            DiscoveryOptions::new()
+                .max_level(3)
+                .min_support(kappa)
+                .partition_cache_mib(mib)
+        };
         let reference = FastOfd::new(&ds.relation, &ds.ontology).options(base()).run();
         prop_assert!(reference.complete);
 
-        let dir = temp_dir(&format!("disc_{seed}_{rows}_{kill_at}"));
+        let dir = temp_dir(&format!("disc_{seed}_{rows}_{kill_at}_{kappa_at}_{mib_at}"));
         let guard = ExecGuard::unlimited();
         guard.fail_after(kill_at);
         let killed = FastOfd::new(&ds.relation, &ds.ontology)

@@ -107,10 +107,12 @@ fn metrics_json_matches_schema_v1() {
     };
     let v = validate_schema_v1(&text);
 
-    // The partition cache is on by default, so every instrumented discovery
-    // run must publish its counters (values are workload-dependent).
+    // Every instrumented discovery run produces its partitions through the
+    // partition cache, so it must publish the cache's counters (values are
+    // workload-dependent).
     let names = counter_names(&v);
     for name in [
+        "discovery.partition.products",
         "discovery.partition.cache.hits",
         "discovery.partition.cache.misses",
         "discovery.partition.cache.evicted_bytes",

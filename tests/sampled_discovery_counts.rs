@@ -1,7 +1,8 @@
 //! Exact discovery's sampled path, pinned by its counts on one generated
 //! instance. The sampler and the partition cache may change how they reach
 //! their answers, never the answers: Σ, the sample counters, the cache's
-//! hits and misses and the per-level `verified` counts stay these literals.
+//! products, hits and misses and the per-level `verified` counts stay these
+//! literals.
 
 use fastofd::core::Obs;
 use fastofd::datagen::{clinical, PresetConfig};
@@ -26,6 +27,7 @@ fn clinical_2k_sampled_discovery_counts_are_pinned() {
     assert_eq!(result.len(), 180, "|Σ|");
     assert_eq!(counter("discovery.sample.evidence_pairs"), 59_955);
     assert_eq!(counter("discovery.sample.candidates_pruned"), 5_254);
+    assert_eq!(counter("discovery.partition.products"), 17);
     assert_eq!(counter("discovery.partition.cache.hits"), 17);
     assert_eq!(counter("discovery.partition.cache.misses"), 78);
     assert_eq!(verified, [15, 196, 1159, 4120]);
