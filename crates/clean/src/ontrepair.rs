@@ -14,8 +14,7 @@ use ofd_core::{Ofd, Relation, SenseIndex, ValueId};
 use ofd_ontology::SenseId;
 
 use crate::classes::OfdClasses;
-
-use crate::sense::{SenseAssignment, SenseView};
+use crate::sense::SenseAssignment;
 
 /// One point of the (dist(S,S'), dist(I,I')-bound) trade-off.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,13 +122,13 @@ pub fn beam_search(
     )
 }
 
-/// [`beam_search`] with an execution guard, probed once per candidate
-/// evaluation and per beam expansion.
+/// [`beam_search`] with an execution guard, probed once per beam-node
+/// expansion (level 1 expands the empty repair).
 ///
 /// The frontier always contains the `k = 0` (no ontology repair) point, so
 /// an interrupted search still yields a usable plan — `select` falls back
 /// to the best fully evaluated point, in the worst case pure data repair.
-/// Every frontier entry was completely evaluated before the interrupt, so
+/// A level joins the frontier only after all its parents are expanded, so
 /// no partially costed point can be selected.
 #[allow(clippy::too_many_arguments)]
 pub fn beam_search_guarded(
@@ -146,204 +145,13 @@ pub fn beam_search_guarded(
     let w = cands.len();
     let b = beam.unwrap_or_else(|| secretary_beam(w));
     let max_k = max_k.unwrap_or(w).min(w);
+    let mut rhs: Vec<_> = sigma.iter().map(|o| o.rhs).collect();
+    rhs.sort_unstable();
+    rhs.dedup();
+    let alpha = rhs.len();
 
-    let alpha = {
-        let distinct: HashSet<_> = sigma.iter().map(|o| o.rhs).collect();
-        distinct.len().min(sigma.len())
-    };
-
-    // Repair-cost objective: the number of *distinct tuples* that are
-    // outliers in at least one class — the tuple-level analogue of the
-    // conflict graph's vertex cover (a tuple conflicting for several OFDs
-    // is covered once), evaluated incrementally: a candidate insertion
-    // only affects the classes containing its value. The union semantics
-    // makes the objective subadditive, which is exactly why a wider beam
-    // can beat pure greedy (Exp-9).
-    struct ClassSlot<'c> {
-        sense: Option<SenseId>,
-        value_counts: &'c [(ValueId, u32)],
-        tuples: &'c [u32],
-        rhs: ofd_core::AttrId,
-        base_cost: usize,
-    }
-    let empty_overlay: HashSet<(ValueId, SenseId)> = HashSet::new();
-    let base_view = SenseView {
-        base: index,
-        overlay: &empty_overlay,
-    };
-    let cost_of = |slot_sense: Option<SenseId>,
-                   counts: &[(ValueId, u32)],
-                   view: SenseView<'_>| -> usize {
-        if counts.len() <= 1 {
-            return 0; // a single distinct value satisfies any OFD
-        }
-        let total: usize = counts.iter().map(|&(_, c)| c as usize).sum();
-        let majority = counts.first().map(|&(_, c)| c as usize).unwrap_or(0);
-        match slot_sense {
-            Some(s) => {
-                let outliers: usize = counts
-                    .iter()
-                    .filter(|&&(v, _)| !view.in_sense(v, s))
-                    .map(|&(_, c)| c as usize)
-                    .sum();
-                if outliers == total {
-                    // No class value inside the sense: fall back to a
-                    // majority repair.
-                    total - majority
-                } else {
-                    outliers
-                }
-            }
-            // No sense: all tuples except the majority value must move.
-            None => total - majority,
-        }
-    };
-    // Outlier tuples of one class under a view.
-    let outliers_of = |slot: &ClassSlot<'_>, view: SenseView<'_>| -> Vec<u32> {
-        if slot.value_counts.len() <= 1 {
-            return Vec::new();
-        }
-        match slot.sense {
-            Some(sense) => {
-                let any_in = slot
-                    .value_counts
-                    .iter()
-                    .any(|&(v, _)| view.in_sense(v, sense));
-                if any_in {
-                    slot.tuples
-                        .iter()
-                        .copied()
-                        .filter(|&t| !view.in_sense(rel.value(t as usize, slot.rhs), sense))
-                        .collect()
-                } else {
-                    // Majority repair: everything but the majority value.
-                    let majority = slot.value_counts[0].0;
-                    slot.tuples
-                        .iter()
-                        .copied()
-                        .filter(|&t| rel.value(t as usize, slot.rhs) != majority)
-                        .collect()
-                }
-            }
-            None => {
-                let majority = slot.value_counts[0].0;
-                slot.tuples
-                    .iter()
-                    .copied()
-                    .filter(|&t| rel.value(t as usize, slot.rhs) != majority)
-                    .collect()
-            }
-        }
-    };
-    let _ = &cost_of; // cost_of retained for per-class bookkeeping below
-
-    let cand_values: HashSet<ValueId> = cands.iter().map(|&(v, _)| v).collect();
-    let mut slots: Vec<ClassSlot<'_>> = Vec::new();
-    let mut value_to_slots: std::collections::HashMap<ValueId, Vec<usize>> =
-        std::collections::HashMap::new();
-    for oc in classes {
-        for (ci, class) in oc.classes.iter().enumerate() {
-            let sense = assignment.get(oc.ofd_idx, ci);
-            let mut slot = ClassSlot {
-                sense,
-                value_counts: &class.value_counts,
-                tuples: &class.tuples,
-                rhs: oc.ofd.rhs,
-                base_cost: 0,
-            };
-            slot.base_cost = cost_of(slot.sense, slot.value_counts, base_view);
-            let idx = slots.len();
-            for &(v, _) in &class.value_counts {
-                if cand_values.contains(&v) {
-                    value_to_slots.entry(v).or_default().push(idx);
-                }
-            }
-            slots.push(slot);
-        }
-    }
-    // base outlier multiplicity per tuple.
-    let mut base_counts: std::collections::HashMap<u32, u32> =
-        std::collections::HashMap::new();
-    let mut base_outliers_per_slot: Vec<Vec<u32>> = Vec::with_capacity(slots.len());
-    for slot in &slots {
-        let outs = outliers_of(slot, base_view);
-        for &t in &outs {
-            *base_counts.entry(t).or_insert(0) += 1;
-        }
-        base_outliers_per_slot.push(outs);
-    }
-    let base_total = base_counts.len();
-
-    // Per-slot candidate values (to identify which adds touch a slot) and
-    // a memo of post-insertion outlier sets: the outliers of a slot depend
-    // only on the adds whose value the slot contains, so repeated beam
-    // evaluations become hash lookups.
-    let slot_cand_values: Vec<Vec<ValueId>> = slots
-        .iter()
-        .map(|slot| {
-            slot.value_counts
-                .iter()
-                .map(|&(v, _)| v)
-                .filter(|v| cand_values.contains(v))
-                .collect()
-        })
-        .collect();
-    type OutlierMemo = std::collections::HashMap<(usize, Vec<(ValueId, SenseId)>), Vec<u32>>;
-    let mut outlier_memo: OutlierMemo = std::collections::HashMap::new();
-    let mut eval_with_touched = |adds: &[(ValueId, SenseId)]| -> (usize, Vec<u32>) {
-        let mut affected: Vec<usize> = adds
-            .iter()
-            .filter_map(|(v, _)| value_to_slots.get(v))
-            .flatten()
-            .copied()
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        if affected.is_empty() {
-            return (base_total, Vec::new());
-        }
-        // Delta counting over the touched tuples only.
-        let mut deltas: std::collections::HashMap<u32, i64> =
-            std::collections::HashMap::new();
-        for i in affected {
-            let mut relevant: Vec<(ValueId, SenseId)> = adds
-                .iter()
-                .copied()
-                .filter(|(v, _)| slot_cand_values[i].contains(v))
-                .collect();
-            relevant.sort_unstable();
-            let outs = outlier_memo.entry((i, relevant.clone())).or_insert_with(|| {
-                let overlay: HashSet<(ValueId, SenseId)> = relevant.into_iter().collect();
-                let view = SenseView {
-                    base: index,
-                    overlay: &overlay,
-                };
-                outliers_of(&slots[i], view)
-            });
-            for &t in &base_outliers_per_slot[i] {
-                *deltas.entry(t).or_insert(0) -= 1;
-            }
-            for &t in outs.iter() {
-                *deltas.entry(t).or_insert(0) += 1;
-            }
-        }
-        let mut total = base_total as i64;
-        let mut touched: Vec<u32> = Vec::with_capacity(deltas.len());
-        for (t, d) in deltas {
-            if d != 0 {
-                touched.push(t);
-            }
-            let base = base_counts.get(&t).copied().unwrap_or(0) as i64;
-            let was = (base > 0) as i64;
-            let now = (base + d > 0) as i64;
-            total += now - was;
-        }
-        touched.sort_unstable();
-        (total as usize, touched)
-    };
-
-
-    let base_cover = base_total;
+    let (lattice, root) = Lattice::new(rel, classes, assignment, index, &cands);
+    let base_cover = root.cover;
     let mut frontier = vec![ParetoPoint {
         k: 0,
         delta_p: alpha * base_cover,
@@ -351,85 +159,77 @@ pub fn beam_search_guarded(
         adds: Vec::new(),
     }];
 
-    // Level-1 gains and touched-tuple sets per candidate: a candidate
-    // whose touched tuples are disjoint from everything a node already
-    // touches contributes its standalone gain exactly (the union objective
-    // is additive over disjoint tuple deltas).
-    let mut gain1: Vec<usize> = Vec::with_capacity(cands.len());
-    let mut touched1: Vec<Vec<u32>> = Vec::with_capacity(cands.len());
-    for &cand in &cands {
-        if guard.check().is_err() {
-            break;
-        }
-        let (cover, touched) = eval_with_touched(&[cand]);
-        gain1.push(base_cover.saturating_sub(cover));
-        touched1.push(touched);
-    }
-    // The beam loop indexes gain1/touched1 by candidate; a truncated
-    // level-1 scan means no lattice level can be explored soundly, leaving
-    // the k = 0 fallback.
-    let max_k = if gain1.len() == cands.len() { max_k } else { 0 };
-
     // Beam over the candidate lattice; stop on plateau (an extra insertion
     // that buys no data repairs cannot be part of a Pareto improvement).
-    let mut level: Vec<ParetoPoint> = vec![frontier[0].clone()];
+    // A level's add sets are bitsets over candidate ranks, `words` each,
+    // stored side by side.
+    let words = w.div_ceil(64);
+    let (mut level, mut keys) = (vec![root], vec![0u64; words]);
+    let mut delta = vec![0i32; rel.n_rows()];
+    let mut touched: Vec<u32> = Vec::new();
     let mut best_so_far = base_cover;
     'beam: for k in 1..=max_k {
-        let mut next: Vec<ParetoPoint> = Vec::new();
-        let mut seen: HashSet<Vec<(ValueId, SenseId)>> = HashSet::new();
-        let cand_index: std::collections::HashMap<(ValueId, SenseId), usize> =
-            cands.iter().copied().enumerate().map(|(i, c)| (c, i)).collect();
-        for node in &level {
+        // Every child as (cover, parent, candidate rank).
+        let mut children: Vec<(usize, usize, usize)> = Vec::new();
+        for (p, node) in level.iter().enumerate() {
             if guard.check().is_err() {
                 break 'beam;
             }
-            let node_touched: HashSet<u32> = node
-                .adds
-                .iter()
-                .filter_map(|c| cand_index.get(c))
-                .flat_map(|&i| touched1[i].iter().copied())
-                .collect();
-            for (ci, &cand) in cands.iter().enumerate() {
-                if node.adds.contains(&cand) {
-                    continue;
-                }
-                let mut adds = node.adds.clone();
-                adds.push(cand);
-                adds.sort_unstable();
-                if !seen.insert(adds.clone()) {
-                    continue;
-                }
-                let independent = touched1[ci]
-                    .iter()
-                    .all(|t| !node_touched.contains(t));
-                let cover = if independent {
-                    node.cover.saturating_sub(gain1[ci])
-                } else {
-                    eval_with_touched(&adds).0
-                };
-                next.push(ParetoPoint {
-                    k,
-                    delta_p: alpha * cover,
-                    cover,
-                    adds,
-                });
+            let key = &keys[p * words..(p + 1) * words];
+            for r in (0..w).filter(|&r| key[r / 64] & bit(r) == 0) {
+                children.push((lattice.child_cover(node, r, &mut delta, &mut touched), p, r));
             }
         }
-        if next.is_empty() {
+        // A set of k insertions has at most k parents, so the b·k cheapest
+        // children hold at least b distinct sets: only children no dearer
+        // than those can survive, and only they get keys. A zero beam
+        // keeps none.
+        let Some(cut) = (b * k).min(children.len()).checked_sub(1) else {
             break;
+        };
+        let bound = children.select_nth_unstable_by_key(cut, |c| c.0).1 .0;
+        children.retain(|c| c.0 <= bound);
+        let mut child_keys: Vec<u64> = Vec::with_capacity(children.len() * words);
+        for &(_, p, r) in &children {
+            let at = child_keys.len() + r / 64;
+            child_keys.extend_from_slice(&keys[p * words..(p + 1) * words]);
+            child_keys[at] |= bit(r);
         }
-        next.sort_by_key(|p| (p.cover, p.adds.clone()));
-        next.truncate(b);
-        frontier.push(next[0].clone());
+        // Equal covers rank by the sorted add vector: of two sets of equal
+        // size, the smaller holds the lowest rank of their symmetric
+        // difference, so its key is the larger. Covers are exact, so a set
+        // reached from two parents sorts next to itself.
+        let key_of = |c: usize| &child_keys[c * words..(c + 1) * words];
+        let mut order: Vec<usize> = (0..children.len()).collect();
+        order.sort_unstable_by(|&x, &y| {
+            (children[x].0.cmp(&children[y].0)).then_with(|| key_of(y).cmp(key_of(x)))
+        });
+        order.dedup_by(|x, y| key_of(*x) == key_of(*y));
+        order.truncate(b);
+        let first = order[0];
+        let cover = children[first].0;
+        frontier.push(ParetoPoint {
+            k,
+            delta_p: alpha * cover,
+            cover,
+            adds: (0..w)
+                .filter(|&r| key_of(first)[r / 64] & bit(r) != 0)
+                .map(|r| lattice.ranked[r])
+                .collect(),
+        });
         // Stop when the marginal gain per insertion drops to ≤ 1: such an
         // insertion can never beat the corresponding data repair in the
         // Pareto selection (k + cover stays constant, and ties prefer
         // smaller k), so deeper levels cannot change the outcome.
-        if next[0].cover == 0 || best_so_far.saturating_sub(next[0].cover) <= 1 {
+        if cover == 0 || best_so_far.saturating_sub(cover) <= 1 {
             break;
         }
-        best_so_far = next[0].cover;
-        level = next;
+        best_so_far = cover;
+        level = order
+            .iter()
+            .map(|&c| lattice.child(&level[children[c].1], children[c].2, children[c].0))
+            .collect();
+        keys = order.iter().flat_map(|&c| key_of(c)).copied().collect();
     }
 
     // Pareto filter over (k, δ_P).
@@ -451,13 +251,203 @@ pub fn beam_search_guarded(
     }
 }
 
+/// Candidate rank `r`'s bit in word `r / 64` of an add-set key. Ranks run
+/// from the top bit down, so a lower rank is a higher bit.
+fn bit(r: usize) -> u64 {
+    1 << (63 - r % 64)
+}
+
+/// The candidates ranked by `(ValueId, SenseId)`, each with its effects:
+/// it can change only the classes assigned its sense that hold its value
+/// and at least one other.
+///
+/// The objective counts the *distinct tuples* that are outliers in some
+/// class (a tuple conflicting for several OFDs is covered once). A class
+/// whose sense holds some of its values has the others' tuples as
+/// outliers; any other class falls back to majority repair. The union
+/// makes the objective subadditive, which is why a wider beam can beat
+/// pure greedy (Exp-9).
+struct Lattice {
+    ranked: Vec<(ValueId, SenseId)>,
+    effects: Vec<Vec<Effect>>,
+}
+
+/// How inserting a candidate `(v, s)` changes one class assigned `s`.
+struct Effect {
+    /// The class, numbered across all of Σ's classes.
+    slot: usize,
+    /// Whether a class value lies in `s` before any insertion.
+    base_in: bool,
+    /// The class's tuples holding `v`.
+    holders: Vec<u32>,
+    /// The class's tuples holding its majority value when no base value
+    /// lies in `s` and `v` is not the majority; otherwise empty.
+    majority: Vec<u32>,
+}
+
+/// A beam node: an add set's cover and what its children are costed from.
+struct Node {
+    cover: usize,
+    /// Per tuple, the number of classes it is an outlier in (≤ |Σ|).
+    outliers: Vec<u32>,
+    /// The classes with no base value in their sense that gained one
+    /// through the node's insertions, ascending.
+    gained: Vec<usize>,
+}
+
+impl Lattice {
+    /// The effect lists and the root node (no insertions).
+    fn new(
+        rel: &Relation,
+        classes: &[OfdClasses],
+        assignment: &SenseAssignment,
+        index: &SenseIndex,
+        cands: &[(ValueId, SenseId)],
+    ) -> (Lattice, Node) {
+        let mut ranked = cands.to_vec();
+        ranked.sort_unstable();
+        let mut effects: Vec<Vec<Effect>> = ranked.iter().map(|_| Vec::new()).collect();
+        let mut outliers = vec![0u32; rel.n_rows()];
+        let slots = classes.iter().flat_map(|oc| {
+            oc.classes
+                .iter()
+                .enumerate()
+                .map(move |(ci, c)| (oc, ci, c))
+        });
+        for (slot, (oc, ci, class)) in slots.enumerate() {
+            if class.value_counts.len() <= 1 {
+                continue; // a single distinct value satisfies any OFD
+            }
+            let value = |t: u32| rel.value(t as usize, oc.ofd.rhs);
+            let holding = |v| {
+                class
+                    .tuples
+                    .iter()
+                    .copied()
+                    .filter(|&t| value(t) == v)
+                    .collect()
+            };
+            let majority = class.value_counts[0].0;
+            let sense = assignment.get(oc.ofd_idx, ci);
+            let base_in = sense.is_some_and(|s| {
+                class
+                    .value_counts
+                    .iter()
+                    .any(|&(v, _)| index.in_sense(v, s))
+            });
+            for &t in &class.tuples {
+                outliers[t as usize] += match sense {
+                    Some(s) if base_in => !index.in_sense(value(t), s),
+                    _ => value(t) != majority,
+                } as u32;
+            }
+            let Some(s) = sense else {
+                continue;
+            };
+            for &(v, _) in &class.value_counts {
+                if let Ok(rank) = ranked.binary_search(&(v, s)) {
+                    effects[rank].push(Effect {
+                        slot,
+                        base_in,
+                        holders: holding(v),
+                        majority: if base_in || v == majority {
+                            Vec::new()
+                        } else {
+                            holding(majority)
+                        },
+                    });
+                }
+            }
+        }
+        let cover = outliers.iter().filter(|&&c| c > 0).count();
+        let root = Node {
+            cover,
+            outliers,
+            gained: Vec::new(),
+        };
+        (Lattice { ranked, effects }, root)
+    }
+
+    /// Calls `f(tuples, ±1)` for each change that inserting candidate
+    /// `rank` makes to `node`'s outlier counts.
+    fn changes(&self, node: &Node, rank: usize, mut f: impl FnMut(&[u32], i32)) {
+        for e in &self.effects[rank] {
+            if e.base_in || node.gained.binary_search(&e.slot).is_ok() {
+                // The sense already holds a class value: v's tuples stop
+                // being outliers.
+                f(&e.holders, -1);
+            } else if !e.majority.is_empty() {
+                // Majority repair gives way to "every tuple but v".
+                f(&e.majority, 1);
+                f(&e.holders, -1);
+            }
+        }
+    }
+
+    /// The cover of `node` plus candidate `rank`, counted in the dense
+    /// `delta` scratch (all zero on entry and on return) over the tuples
+    /// the candidate touches.
+    fn child_cover(
+        &self,
+        node: &Node,
+        rank: usize,
+        delta: &mut [i32],
+        touched: &mut Vec<u32>,
+    ) -> usize {
+        self.changes(node, rank, |tuples, by| {
+            for &t in tuples {
+                if delta[t as usize] == 0 {
+                    touched.push(t);
+                }
+                delta[t as usize] += by;
+            }
+        });
+        let mut cover = node.cover;
+        for t in touched.drain(..) {
+            let was = node.outliers[t as usize] as i32;
+            match (was > 0, was + std::mem::take(&mut delta[t as usize]) > 0) {
+                (false, true) => cover += 1,
+                (true, false) => cover -= 1,
+                _ => {}
+            }
+        }
+        cover
+    }
+
+    /// The node for `node` plus candidate `rank`, whose cover is known.
+    fn child(&self, node: &Node, rank: usize, cover: usize) -> Node {
+        let mut outliers = node.outliers.clone();
+        self.changes(node, rank, |tuples, by| {
+            for &t in tuples {
+                let c = &mut outliers[t as usize];
+                *c = c.checked_add_signed(by).expect("outlier counts stay ≥ 0");
+            }
+        });
+        let mut gained = node.gained.clone();
+        gained.extend(
+            self.effects[rank]
+                .iter()
+                .filter(|e| !e.base_in)
+                .map(|e| e.slot),
+        );
+        gained.sort_unstable();
+        gained.dedup();
+        Node {
+            cover,
+            outliers,
+            gained,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classes::build_classes;
-    use crate::sense::assign_all;
+    use crate::sense::{assign_all, SenseView};
     use ofd_core::table1_updated;
-    use ofd_ontology::samples;
+    use ofd_ontology::{samples, OntologyBuilder};
+    use proptest::prelude::*;
 
     fn setup() -> (
         Relation,
@@ -553,10 +543,73 @@ mod tests {
         }
     }
 
+    /// Naive recomputation of the union-of-outliers objective under
+    /// `base ∪ adds`.
+    fn naive_cover(
+        rel: &Relation,
+        classes: &[OfdClasses],
+        assignment: &SenseAssignment,
+        index: &SenseIndex,
+        adds: &[(ValueId, SenseId)],
+    ) -> usize {
+        let ov: HashSet<_> = adds.iter().copied().collect();
+        let v = SenseView {
+            base: index,
+            overlay: &ov,
+        };
+        let mut outliers: HashSet<u32> = HashSet::new();
+        for oc in classes {
+            for (ci, class) in oc.classes.iter().enumerate() {
+                let sense = assignment.get(oc.ofd_idx, ci);
+                if class.value_counts.len() <= 1 {
+                    continue;
+                }
+                let total: u32 = class.value_counts.iter().map(|&(_, c)| c).sum();
+                match sense {
+                    Some(s) => {
+                        let covered: u32 = class
+                            .value_counts
+                            .iter()
+                            .filter(|&&(val, _)| v.in_sense(val, s))
+                            .map(|&(_, c)| c)
+                            .sum();
+                        if covered == total {
+                            continue;
+                        }
+                        if covered > 0 {
+                            for &t in &class.tuples {
+                                let val = rel.value(t as usize, oc.ofd.rhs);
+                                if !v.in_sense(val, s) {
+                                    outliers.insert(t);
+                                }
+                            }
+                        } else {
+                            let majority = class.value_counts[0].0;
+                            for &t in &class.tuples {
+                                if rel.value(t as usize, oc.ofd.rhs) != majority {
+                                    outliers.insert(t);
+                                }
+                            }
+                        }
+                    }
+                    None => {
+                        let majority = class.value_counts[0].0;
+                        for &t in &class.tuples {
+                            if rel.value(t as usize, oc.ofd.rhs) != majority {
+                                outliers.insert(t);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        outliers.len()
+    }
+
     #[test]
     fn incremental_eval_matches_from_scratch() {
-        // The memoized / delta-counted / independence-shortcut evaluation
-        // must equal a naive recomputation for arbitrary candidate subsets.
+        // The parent-derived evaluation must equal a naive recomputation
+        // for arbitrary candidate subsets.
         use ofd_datagen::{clinical, PresetConfig};
         let mut ds = clinical(&PresetConfig {
             n_rows: 400,
@@ -577,65 +630,6 @@ mod tests {
         let cands = candidates(&classes, &assignment, &index);
         assert!(cands.len() >= 4, "need candidates to exercise subsets");
 
-        // Naive recomputation of the union-of-outliers objective.
-        let naive = |adds: &[(ofd_core::ValueId, ofd_ontology::SenseId)]| -> usize {
-            let ov: HashSet<_> = adds.iter().copied().collect();
-            let v = SenseView {
-                base: &index,
-                overlay: &ov,
-            };
-            let mut outliers: HashSet<u32> = HashSet::new();
-            for oc in &classes {
-                for (ci, class) in oc.classes.iter().enumerate() {
-                    let sense = assignment.get(oc.ofd_idx, ci);
-                    if class.value_counts.len() <= 1 {
-                        continue;
-                    }
-                    let total: u32 = class.value_counts.iter().map(|&(_, c)| c).sum();
-                    match sense {
-                        Some(s) => {
-                            let covered: u32 = class
-                                .value_counts
-                                .iter()
-                                .filter(|&&(val, _)| v.in_sense(val, s))
-                                .map(|&(_, c)| c)
-                                .sum();
-                            if covered == total {
-                                continue;
-                            }
-                            if covered > 0 {
-                                for &t in &class.tuples {
-                                    let val =
-                                        ds.relation.value(t as usize, oc.ofd.rhs);
-                                    if !v.in_sense(val, s) {
-                                        outliers.insert(t);
-                                    }
-                                }
-                            } else {
-                                let majority = class.value_counts[0].0;
-                                for &t in &class.tuples {
-                                    if ds.relation.value(t as usize, oc.ofd.rhs)
-                                        != majority
-                                    {
-                                        outliers.insert(t);
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            let majority = class.value_counts[0].0;
-                            for &t in &class.tuples {
-                                if ds.relation.value(t as usize, oc.ofd.rhs) != majority {
-                                    outliers.insert(t);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            outliers.len()
-        };
-
         // The beam search reports frontiers whose covers must match the
         // naive objective for the chosen add-sets.
         let plan = beam_search(
@@ -650,11 +644,162 @@ mod tests {
         for point in &plan.frontier {
             assert_eq!(
                 point.cover,
-                naive(&point.adds),
+                naive_cover(&ds.relation, &classes, &assignment, &index, &point.adds),
                 "k={} adds={:?}",
                 point.k,
                 point.adds
             );
+        }
+    }
+
+    #[test]
+    fn cover_is_exact_when_the_sense_holds_no_class_value() {
+        // b is interned before the majority a, and the sense holds neither,
+        // so the class falls back to majority repair (cover 1). Inserting b
+        // makes a's three tuples the outliers (cover 3); inserting a keeps
+        // cover 1.
+        let rel = Relation::from_rows(
+            ["X", "A"],
+            [
+                &["x", "b"] as &[&str],
+                &["x", "a"],
+                &["x", "a"],
+                &["x", "a"],
+            ],
+        )
+        .unwrap();
+        let mut builder = OntologyBuilder::new();
+        let s = builder.concept("S").synonyms(["c"]).build().unwrap();
+        let index = SenseIndex::synonym(&rel, &builder.finish().unwrap());
+        let sigma = vec![Ofd::synonym_named(rel.schema(), &["X"], "A").unwrap()];
+        let classes = build_classes(&rel, &sigma);
+        let assignment = SenseAssignment::from_table(vec![vec![Some(s)]]);
+        let plan = beam_search(&rel, &sigma, &classes, &assignment, &index, Some(2), None);
+        let a = rel.pool().get("a").unwrap();
+        assert_eq!((plan.frontier[0].cover, plan.frontier[1].cover), (1, 1));
+        assert_eq!(plan.frontier[1].adds, vec![(a, s)]);
+    }
+
+    /// Algorithm 7 with every child costed from scratch, ranked by
+    /// (cover, sorted insertions) and de-duplicated by value: the frontier
+    /// (cover, insertions) that `beam_search` must report.
+    fn reference_frontier(
+        cands: &[(ValueId, SenseId)],
+        b: usize,
+        cover: impl Fn(&[(ValueId, SenseId)]) -> usize,
+    ) -> Vec<(usize, Vec<(ValueId, SenseId)>)> {
+        let mut frontier = vec![(cover(&[]), Vec::new())];
+        let mut level = vec![Vec::new()];
+        for _ in cands {
+            let mut next: Vec<(usize, Vec<(ValueId, SenseId)>)> = Vec::new();
+            for adds in &level {
+                for c in cands.iter().filter(|c| !adds.contains(*c)) {
+                    let mut child = adds.clone();
+                    child.push(*c);
+                    child.sort_unstable();
+                    next.push((cover(&child), child));
+                }
+            }
+            next.sort();
+            next.dedup();
+            next.truncate(b);
+            let Some(first) = next.first().cloned() else {
+                break;
+            };
+            let best = frontier.last().unwrap().0;
+            frontier.push(first.clone());
+            if first.0 == 0 || best.saturating_sub(first.0) <= 1 {
+                break;
+            }
+            level = next.into_iter().map(|(_, adds)| adds).collect();
+        }
+        frontier
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On random relations over `X, Y, A, B` with Σ = {X→A, Y→A, X→B},
+        /// value `v{i}` in sense `S{members[i]}` (3 to 5: unknown) and
+        /// classes assigned from `senses` (3: none), so a class often sits
+        /// under a sense holding none of its values: every cover derived
+        /// from a parent along a random insertion chain equals the objective
+        /// recomputed from scratch, and the search reports the frontier of
+        /// a search that costs every child from scratch.
+        #[test]
+        fn parent_derived_covers_match_from_scratch(
+            rows in prop::collection::vec((0u8..3, 0u8..3, 0u8..8, 0u8..8), 2..60),
+            members in prop::collection::vec(0u8..6, 8),
+            senses in prop::collection::vec(0u8..4, 1..9),
+            chain in prop::collection::vec(0usize..64, 0..12),
+            beam in 0usize..6,
+        ) {
+            let cells: Vec<[String; 4]> = rows
+                .iter()
+                .map(|&(x, y, a, b)| [format!("x{x}"), format!("y{y}"), format!("v{a}"), format!("v{b}")])
+                .collect();
+            let cells: Vec<[&str; 4]> = cells.iter().map(|r| r.each_ref().map(String::as_str)).collect();
+            let rel = Relation::from_rows(["X", "Y", "A", "B"], cells.iter().map(|r| &r[..])).unwrap();
+            let mut builder = OntologyBuilder::new();
+            let ids: Vec<SenseId> = (0..3)
+                .map(|s| {
+                    let names = (0..8).filter(|&i| members[i] == s).map(|i| format!("v{i}"));
+                    builder.concept(format!("S{s}")).synonyms(names).build().unwrap()
+                })
+                .collect();
+            let index = SenseIndex::synonym(&rel, &builder.finish().unwrap());
+            let sigma: Vec<Ofd> = [("X", "A"), ("Y", "A"), ("X", "B")]
+                .iter()
+                .map(|&(x, a)| Ofd::synonym_named(rel.schema(), &[x], a).unwrap())
+                .collect();
+            let classes = build_classes(&rel, &sigma);
+            let mut draw = senses.iter().cycle();
+            let assignment = SenseAssignment::from_table(
+                classes
+                    .iter()
+                    .map(|oc| oc.classes.iter().map(|_| ids.get(*draw.next().unwrap() as usize).copied()).collect())
+                    .collect(),
+            );
+            let naive = |adds: &[(ValueId, SenseId)]| naive_cover(&rel, &classes, &assignment, &index, adds);
+
+            let cands = candidates(&classes, &assignment, &index);
+            let (lattice, mut node) = Lattice::new(&rel, &classes, &assignment, &index, &cands);
+            prop_assert_eq!(node.cover, naive(&[]));
+            let (mut delta, mut touched) = (vec![0i32; rel.n_rows()], Vec::new());
+            let mut free: Vec<usize> = (0..cands.len()).collect();
+            let mut adds = Vec::new();
+            for pick in chain.into_iter().take(free.len()) {
+                let r = free.remove(pick % free.len());
+                let cover = lattice.child_cover(&node, r, &mut delta, &mut touched);
+                adds.push(lattice.ranked[r]);
+                adds.sort_unstable();
+                prop_assert_eq!(cover, naive(&adds), "adds {:?}", adds);
+                node = lattice.child(&node, r, cover);
+            }
+            let plan = beam_search(&rel, &sigma, &classes, &assignment, &index, Some(beam), None);
+            let frontier: Vec<_> = plan.frontier.iter().map(|p| (p.cover, p.adds.clone())).collect();
+            prop_assert_eq!(frontier, reference_frontier(&cands, beam, naive));
+        }
+
+        /// Keys of equal-size rank sets, spanning several words, order in
+        /// reverse of the sorted rank vectors.
+        #[test]
+        fn keys_order_as_reversed_sorted_vectors(
+            a in prop::collection::vec(0usize..150, 0..8),
+            b in prop::collection::vec(0usize..150, 0..8),
+        ) {
+            let (mut a, mut b) = (a, b);
+            for v in [&mut a, &mut b] {
+                v.sort_unstable();
+                v.dedup();
+            }
+            let n = a.len().min(b.len());
+            let key = |v: &[usize]| {
+                let mut key = [0u64; 3];
+                v[..n].iter().for_each(|&r| key[r / 64] |= bit(r));
+                key
+            };
+            prop_assert_eq!(key(&b).cmp(&key(&a)), a[..n].cmp(&b[..n]));
         }
     }
 
