@@ -75,8 +75,8 @@
 //! counters must attribute every injected fault, and re-running with the
 //! same seed must replay the identical toxic schedule.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, Write};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::sync::Arc;
@@ -85,9 +85,10 @@ use std::time::{Duration, Instant};
 use ofd_core::{FaultPlan, Obs};
 use ofd_datagen::{clinical, csv, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
+use ofd_serve::http::exchange;
 use ofd_serve::{
-    termination_flag, Fleet, NetFaultProxy, Router, RouterConfig, ServeConfig, Server, Supervisor,
-    SupervisorConfig, WorkerSpec,
+    termination_flag, Fleet, NetFaultProxy, PeerTimeouts, Router, RouterConfig, ServeConfig,
+    Server, Supervisor, SupervisorConfig, WorkerSpec,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -241,47 +242,29 @@ struct Reply {
     body: Value,
 }
 
-/// One request over a fresh connection. `Err` means the transport died
-/// (expected while a child is being SIGKILLed), never a served error.
+/// The client's deadlines: connects are local, discovery replies may
+/// take a while.
+const TIMEOUTS: PeerTimeouts = PeerTimeouts {
+    connect: Duration::from_secs(10),
+    read: Duration::from_secs(120),
+};
+
+/// One request through the fleet's own client. `Err` means the transport
+/// died or tore the reply (expected while a child is being SIGKILLed),
+/// never a served error.
 fn try_request(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: Option<&Value>,
 ) -> std::io::Result<Reply> {
-    let mut stream = TcpStream::connect(addr)?;
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serialize"))
-        .unwrap_or_default();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: probe\r\ncontent-length: {}\r\n\r\n",
-        body_text.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body_text.as_bytes())?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8(raw)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 reply"))?;
-    let (head, payload) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated reply"))?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let parsed = if payload.is_empty() {
-        Value::Null
-    } else {
-        serde_json::from_str(payload).unwrap_or(Value::Null)
-    };
-    let retry_after_ms = parsed.get("retry_after_ms").and_then(Value::as_u64);
+    let payload = body.map(Value::to_string).unwrap_or_default();
+    let reply = exchange(addr, method, path, &[], payload.as_bytes(), &TIMEOUTS)?;
+    let body = reply.json();
     Ok(Reply {
-        status,
-        retry_after_ms,
-        body: parsed,
+        status: reply.status,
+        retry_after_ms: body.get("retry_after_ms").and_then(Value::as_u64),
+        body,
     })
 }
 

@@ -13,6 +13,7 @@
 //! checkpoint layer uses: clients asserting byte-identical resume compare
 //! the bits and sidestep float formatting entirely.
 
+use std::borrow::Cow;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -227,36 +228,56 @@ pub(crate) fn opt_f64(body: &Value, name: &str) -> Result<Option<f64>, BadReques
     }
 }
 
-/// A request's resolved data inputs: parsed rows and ontology, plus the
-/// raw texts that key the checkpoint fingerprint. Inline requests own
-/// their parse; catalog references share the interned [`CatalogEntry`],
-/// so a hot dataset is parsed once per process, not once per request.
-// One short-lived value per admitted job; the inline variant's size is
-// irrelevant next to the parse it holds, so boxing would buy nothing.
-#[allow(clippy::large_enum_variant)]
+/// A request's data inputs, resolved but not yet parsed: inline CSV and
+/// ontology texts, or the interned [`CatalogEntry`] a `dataset:
+/// "name@version"` reference names. Jobs parse at once; streaming
+/// sessions parse only when a session is built, so a resident session
+/// absorbing a one-row batch never pays a full CSV parse.
 pub(crate) enum Inputs<'a> {
-    Inline {
-        rel: Relation,
-        onto: Ontology,
-        csv: &'a str,
-        onto_text: &'a str,
-    },
+    Inline { csv: &'a str, onto: &'a str },
     Cataloged(Arc<CatalogEntry>),
 }
 
-impl Inputs<'_> {
-    pub(crate) fn rel(&self) -> &Relation {
-        match self {
-            Inputs::Inline { rel, .. } => rel,
-            Inputs::Cataloged(e) => &e.relation,
+impl<'a> Inputs<'a> {
+    /// Resolves `"dataset"` against inline `"csv"` (+ `"ontology"`).
+    pub(crate) fn resolve(body: &'a Value, ctx: &JobContext) -> Result<Inputs<'a>, BadRequest> {
+        let Some(reference) = opt_str(body, "dataset")? else {
+            return Ok(Inputs::Inline {
+                csv: required_str(body, "csv")?,
+                onto: opt_str(body, "ontology")?.unwrap_or(""),
+            });
+        };
+        if field(body, "csv").is_some() {
+            return Err(BadRequest(
+                "request carries both \"dataset\" and inline \"csv\"; pick one".into(),
+            ));
         }
+        let catalog = ctx.catalog.as_ref().ok_or_else(|| {
+            BadRequest("no dataset catalog on this server (start it with --checkpoint-dir)".into())
+        })?;
+        catalog
+            .resolve(reference)
+            .map(Inputs::Cataloged)
+            .map_err(|e| BadRequest(format!("dataset: {}", e.message())))
     }
 
-    pub(crate) fn onto(&self) -> &Ontology {
-        match self {
-            Inputs::Inline { onto, .. } => onto,
-            Inputs::Cataloged(e) => &e.ontology_parsed,
-        }
+    /// The parsed relation and ontology: borrowed from a catalog entry's
+    /// interned parse, so a hot dataset is parsed once per process, or
+    /// parsed here from inline texts.
+    pub(crate) fn parse(&self) -> Result<(Cow<'_, Relation>, Cow<'_, Ontology>), BadRequest> {
+        let (csv_text, onto_text) = match self {
+            Inputs::Cataloged(e) => {
+                return Ok((Cow::Borrowed(&e.relation), Cow::Borrowed(&e.ontology_parsed)))
+            }
+            Inputs::Inline { csv, onto } => (*csv, *onto),
+        };
+        let rel = csv::read_csv(csv_text).map_err(|e| BadRequest(format!("csv: {e}")))?;
+        let onto = if onto_text.is_empty() {
+            Ontology::empty()
+        } else {
+            parse_ontology(onto_text).map_err(|e| BadRequest(format!("ontology: {e}")))?
+        };
+        Ok((Cow::Owned(rel), Cow::Owned(onto)))
     }
 
     /// The key state after `label` and the *resolved* texts, not the
@@ -266,7 +287,7 @@ impl Inputs<'_> {
     /// per entry, not per request.
     pub(crate) fn keyed(&self, label: &'static str) -> Fingerprint {
         match self {
-            Inputs::Inline { csv, onto_text, .. } => keyed_content(label, csv, onto_text),
+            Inputs::Inline { csv, onto } => keyed_content(label, csv, onto),
             Inputs::Cataloged(e) => e.keyed(label),
         }
     }
@@ -278,39 +299,6 @@ impl Inputs<'_> {
             Inputs::Cataloged(e) => json!(format!("{}@{}", e.name, e.version)),
         }
     }
-}
-
-pub(crate) fn load_inputs<'a>(body: &'a Value, ctx: &JobContext) -> Result<Inputs<'a>, BadRequest> {
-    if let Some(reference) = opt_str(body, "dataset")? {
-        if field(body, "csv").is_some() {
-            return Err(BadRequest(
-                "request carries both \"dataset\" and inline \"csv\"; pick one".into(),
-            ));
-        }
-        let catalog = ctx.catalog.as_ref().ok_or_else(|| {
-            BadRequest(
-                "no dataset catalog on this server (start it with --checkpoint-dir)".into(),
-            )
-        })?;
-        let entry = catalog
-            .resolve(reference)
-            .map_err(|e| BadRequest(format!("dataset: {}", e.message())))?;
-        return Ok(Inputs::Cataloged(entry));
-    }
-    let csv_text = required_str(body, "csv")?;
-    let rel = csv::read_csv(csv_text).map_err(|e| BadRequest(format!("csv: {e}")))?;
-    let onto_text = opt_str(body, "ontology")?.unwrap_or("");
-    let onto = if onto_text.is_empty() {
-        Ontology::empty()
-    } else {
-        parse_ontology(onto_text).map_err(|e| BadRequest(format!("ontology: {e}")))?
-    };
-    Ok(Inputs::Inline {
-        rel,
-        onto,
-        csv: csv_text,
-        onto_text,
-    })
 }
 
 /// Parses the `"ofds": ["A,B->C", ...]` array (inheritance when `theta`
@@ -442,8 +430,9 @@ fn status_fields(outcome: &JobOutcome) -> (Value, Value) {
 }
 
 fn discover(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRequest> {
-    let inputs = load_inputs(body, ctx)?;
-    let (rel, onto) = (inputs.rel(), inputs.onto());
+    let inputs = Inputs::resolve(body, ctx)?;
+    let (rel, onto) = inputs.parse()?;
+    let (rel, onto) = (rel.as_ref(), onto.as_ref());
     let mut opts = DiscoveryOptions::new()
         .guard(ctx.guard.clone())
         .obs(ctx.obs.clone())
@@ -523,8 +512,9 @@ fn discover(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
 }
 
 fn validate(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRequest> {
-    let inputs = load_inputs(body, ctx)?;
-    let (rel, onto) = (inputs.rel(), inputs.onto());
+    let inputs = Inputs::resolve(body, ctx)?;
+    let (rel, onto) = inputs.parse()?;
+    let (rel, onto) = (rel.as_ref(), onto.as_ref());
     let ofds = parse_ofds(body, rel.schema())?;
     let validator = Validator::new(rel, onto);
     let mut results = Vec::with_capacity(ofds.len());
@@ -561,8 +551,9 @@ fn validate(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
 }
 
 fn clean(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRequest> {
-    let inputs = load_inputs(body, ctx)?;
-    let (rel, onto) = (inputs.rel(), inputs.onto());
+    let inputs = Inputs::resolve(body, ctx)?;
+    let (rel, onto) = inputs.parse()?;
+    let (rel, onto) = (rel.as_ref(), onto.as_ref());
     let ofds = parse_ofds(body, rel.schema())?;
     let mut config = OfdCleanConfig {
         guard: ctx.guard.clone(),
@@ -721,7 +712,7 @@ mod tests {
         let a = json!({"csv": "A,B\n1,2\n"});
         let b = json!({"csv": "A,B\n1,3\n"});
         let dir_of = |endpoint: Endpoint, body: &Value| {
-            let inputs = load_inputs(body, &c).expect("inputs");
+            let inputs = Inputs::resolve(body, &c).expect("inputs");
             job_checkpoint(&c, endpoint, body, &inputs)
                 .expect("checkpoint")
                 .expect("enabled")
@@ -765,7 +756,7 @@ mod tests {
             "partition_cache_mib": 16u64,
         });
         let dir_of = |body: &Value| {
-            let inputs = load_inputs(body, &c).expect("inputs");
+            let inputs = Inputs::resolve(body, &c).expect("inputs");
             job_checkpoint(&c, Endpoint::Discover, body, &inputs)
                 .expect("checkpoint")
                 .expect("enabled")
@@ -817,7 +808,7 @@ mod tests {
         c.checkpoint_root = Some(tmp.clone());
         c.catalog = Some(Arc::new(catalog));
         let dir_of = |body: &Value| {
-            let inputs = load_inputs(body, &c).expect("inputs");
+            let inputs = Inputs::resolve(body, &c).expect("inputs");
             job_checkpoint(&c, Endpoint::Discover, body, &inputs)
                 .expect("checkpoint")
                 .expect("enabled")

@@ -38,7 +38,8 @@ use std::time::Duration;
 
 use ofd_core::{FaultPlan, NetFault, Obs};
 
-use crate::http::AcceptLoop;
+use crate::http::{exchange, read_request, AcceptLoop, Reply, Request};
+use crate::peers::PeerTimeouts;
 
 /// The network-chaos counters, touched at proxy (and router) bind time
 /// so a metrics scrape of an idle process still shows them at zero.
@@ -58,6 +59,10 @@ const STALL_CAP: Duration = Duration::from_secs(30);
 /// client request). Generous: the proxy must never be the bottleneck the
 /// faults are attributed to.
 const RELAY_IO: Duration = Duration::from_secs(30);
+
+/// The proxy's own side of the wire has no body cap: the router in front
+/// already enforced one, and reads never allocate from a claimed length.
+const NO_BODY_CAP: usize = usize::MAX;
 
 /// An in-process TCP proxy that forwards `127.0.0.1:<port> -> upstream`
 /// and fires deterministic network toxics. Bind one per worker/peer
@@ -104,9 +109,7 @@ impl NetFaultProxy {
                 }
                 let delay = plan.delay_duration();
                 let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let _ = handle(client, upstream, toxic, delay, &stop);
-                });
+                std::thread::spawn(move || handle(client, upstream, toxic, delay, &stop));
             })?
         };
         Ok(NetFaultProxy {
@@ -148,50 +151,25 @@ impl Drop for NetFaultProxy {
     }
 }
 
-/// Reads one HTTP/1.1 request (head + `content-length` body) off the
-/// client. The client keeps its write side open awaiting the reply, so
-/// read-to-EOF would deadlock — framing is the only option.
-fn read_request(client: &mut TcpStream) -> io::Result<Vec<u8>> {
-    client.set_read_timeout(Some(RELAY_IO))?;
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if raw.len() > 64 * 1024 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "oversized request head"));
-        }
-        match client.read(&mut buf)? {
-            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            n => raw.extend_from_slice(&buf[..n]),
-        }
+/// Relays `req` to the upstream through the crate's one client and
+/// returns the whole reply. Every header the client sent rides along
+/// (`x-ofd-peer` included) except the framing that [`exchange`] writes
+/// itself. Like every [`exchange`], the write side stays open until the
+/// reply is in: a half-close would read as a hang-up to the worker's
+/// disconnect watcher and cancel the very job whose reply is awaited —
+/// the toxic would then corrupt the *work*, not just the wire.
+fn relay(upstream: SocketAddr, req: &Request) -> io::Result<Reply> {
+    let headers: Vec<(&str, &str)> = req
+        .headers
+        .iter()
+        .filter(|(name, _)| name != "content-length" && name != "connection")
+        .map(|(name, value)| (name.as_str(), value.as_str()))
+        .collect();
+    let timeouts = PeerTimeouts {
+        connect: RELAY_IO,
+        read: RELAY_IO,
     };
-    let head = String::from_utf8_lossy(&raw[..head_end]).to_string();
-    let body_len = crate::peers::content_length(&head).unwrap_or(0);
-    while raw.len() < head_end + 4 + body_len {
-        match client.read(&mut buf)? {
-            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            n => raw.extend_from_slice(&buf[..n]),
-        }
-    }
-    Ok(raw)
-}
-
-/// Forwards `request` to the upstream and reads the whole reply (workers
-/// answer `connection: close`, so EOF delimits it). The write side stays
-/// open until the reply is in hand: a half-close here reads as EOF to the
-/// worker's disconnect watcher, which would cancel the very job whose
-/// reply we are waiting for — the toxic would then corrupt the *work*,
-/// not just the wire, and no real router half-closes mid-exchange.
-fn upstream_reply(upstream: SocketAddr, request: &[u8]) -> io::Result<Vec<u8>> {
-    let mut conn = TcpStream::connect_timeout(&upstream, RELAY_IO)?;
-    conn.set_read_timeout(Some(RELAY_IO))?;
-    conn.set_write_timeout(Some(RELAY_IO))?;
-    conn.write_all(request)?;
-    let mut reply = Vec::new();
-    conn.read_to_end(&mut reply)?;
-    Ok(reply)
+    exchange(upstream, &req.method, &req.path, &headers, &req.body, &timeouts)
 }
 
 /// Parks on the connection until the client closes, `stop` flips, or the
@@ -219,60 +197,53 @@ fn handle(
     toxic: Option<NetFault>,
     delay: Duration,
     stop: &AtomicBool,
-) -> io::Result<()> {
+) {
     match toxic {
-        Some(NetFault::Refuse) => {
-            // Close before reading a byte: indistinguishable from a
-            // refused/reset connection at the client.
-            let _ = client.shutdown(Shutdown::Both);
-            Ok(())
-        }
+        // Close before reading a byte: indistinguishable from a
+        // refused/reset connection at the client.
+        Some(NetFault::Refuse) => {}
         Some(NetFault::Blackhole) => {
-            let _ = read_request(&mut client);
+            let _ = read_request(&mut client, NO_BODY_CAP, RELAY_IO);
             stall_until_abandoned(&mut client, stop);
-            let _ = client.shutdown(Shutdown::Both);
-            Ok(())
         }
-        Some(NetFault::Reset) | Some(NetFault::Partial) => {
-            let request = read_request(&mut client)?;
-            let reply = upstream_reply(upstream, &request)?;
-            // Write the head plus about half the body, so the client has
-            // a status line and a content-length it can never satisfy.
-            let head_end = reply
-                .windows(4)
-                .position(|w| w == b"\r\n\r\n")
-                .map(|p| p + 4)
-                .unwrap_or(0);
-            let torn = head_end + (reply.len() - head_end) / 2;
-            client.set_write_timeout(Some(RELAY_IO))?;
-            client.write_all(&reply[..torn])?;
+        Some(NetFault::Reset | NetFault::Partial | NetFault::Delay) | None => {
+            if toxic == Some(NetFault::Delay) {
+                std::thread::sleep(delay);
+            }
+            let Some(reply) = read_request(&mut client, NO_BODY_CAP, RELAY_IO)
+                .ok()
+                .and_then(|req| relay(upstream, &req).ok())
+            else {
+                return;
+            };
+            // Reset and partial write the head plus about half the body,
+            // so the client has a status line and a content-length it can
+            // never satisfy.
+            let raw = reply.raw();
+            let body = reply.body().len();
+            let end = match toxic {
+                Some(NetFault::Reset | NetFault::Partial) => raw.len() - body + body / 2,
+                _ => raw.len(),
+            };
+            let _ = client.set_write_timeout(Some(RELAY_IO));
+            let _ = client.write_all(&raw[..end]);
             let _ = client.flush();
-            if matches!(toxic, Some(NetFault::Partial)) {
+            if toxic == Some(NetFault::Partial) {
                 // Stall open: the client's own read deadline must fire.
                 stall_until_abandoned(&mut client, stop);
             }
-            let _ = client.shutdown(Shutdown::Both);
-            Ok(())
-        }
-        Some(NetFault::Delay) | None => {
-            if matches!(toxic, Some(NetFault::Delay)) {
-                std::thread::sleep(delay);
-            }
-            let request = read_request(&mut client)?;
-            let reply = upstream_reply(upstream, &request)?;
-            client.set_write_timeout(Some(RELAY_IO))?;
-            client.write_all(&reply)?;
-            let _ = client.flush();
-            let _ = client.shutdown(Shutdown::Both);
-            Ok(())
         }
     }
+    let _ = client.shutdown(Shutdown::Both);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::peers::{peer_exchange, PeerTimeouts};
+
+    fn get(proxy: &NetFaultProxy) -> io::Result<Reply> {
+        exchange(proxy.addr(), "GET", "/x", &[], b"", &quick())
+    }
 
     /// A scripted upstream that answers every request with a fixed JSON
     /// body, `connection: close`.
@@ -311,10 +282,9 @@ mod tests {
         let plan = Arc::new(FaultPlan::parse("seed=1").expect("plan"));
         let proxy = NetFaultProxy::bind(upstream, plan, Obs::disabled()).expect("proxy");
         for _ in 0..3 {
-            let (status, body) =
-                peer_exchange(proxy.addr(), "GET", "/x", None, &quick()).expect("clean relay");
-            assert_eq!(status, 200);
-            assert_eq!(body, b"{\"ok\":true}");
+            let reply = get(&proxy).expect("clean relay");
+            assert_eq!(reply.status, 200);
+            assert_eq!(reply.body(), b"{\"ok\":true}");
         }
         assert_eq!(proxy.schedule(), vec!["pass", "pass", "pass"]);
     }
@@ -325,8 +295,7 @@ mod tests {
         for spec in ["seed=9,net-reset@1", "seed=9,net-partial@1"] {
             let plan = Arc::new(FaultPlan::parse(spec).expect("plan"));
             let proxy = NetFaultProxy::bind(upstream, Arc::clone(&plan), Obs::disabled()).expect("proxy");
-            let err = peer_exchange(proxy.addr(), "GET", "/x", None, &quick())
-                .expect_err("torn reply must be a transport error");
+            let err = get(&proxy).expect_err("torn reply must be a transport error");
             assert!(
                 matches!(
                     err.kind(),
@@ -335,9 +304,8 @@ mod tests {
                 "{spec}: unexpected error {err:?}"
             );
             // After the toxic fires once, the proxy relays cleanly again.
-            let (status, _) = peer_exchange(proxy.addr(), "GET", "/x", None, &quick())
-                .expect("clean after the scheduled toxic");
-            assert_eq!(status, 200);
+            let reply = get(&proxy).expect("clean after the scheduled toxic");
+            assert_eq!(reply.status, 200);
         }
     }
 
@@ -348,9 +316,9 @@ mod tests {
         let obs = Obs::enabled();
         let proxy = NetFaultProxy::bind(upstream, plan, obs.clone()).expect("proxy");
         // Connection 1: refuse (severity order puts it first).
-        assert!(peer_exchange(proxy.addr(), "GET", "/x", None, &quick()).is_err());
+        assert!(get(&proxy).is_err());
         // Connection 2: blackhole — the client's read deadline fires.
-        assert!(peer_exchange(proxy.addr(), "GET", "/x", None, &quick()).is_err());
+        assert!(get(&proxy).is_err());
         assert_eq!(proxy.schedule(), vec!["refuse", "blackhole"]);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("serve.net.injected"), Some(2));
@@ -366,7 +334,7 @@ mod tests {
             let plan = Arc::new(FaultPlan::parse(spec).expect("plan"));
             let proxy = NetFaultProxy::bind(upstream, plan, Obs::disabled()).expect("proxy");
             for _ in 0..24 {
-                let _ = peer_exchange(proxy.addr(), "GET", "/x", None, &quick());
+                let _ = get(&proxy);
             }
             let schedule = proxy.schedule();
             assert_eq!(schedule.len(), 24, "one schedule entry per connection");
@@ -387,7 +355,7 @@ mod tests {
         let obs = Obs::enabled();
         let proxy = NetFaultProxy::bind(upstream, Arc::clone(&plan), obs.clone()).expect("proxy");
         for _ in 0..16 {
-            let _ = peer_exchange(proxy.addr(), "GET", "/x", None, &quick());
+            let _ = get(&proxy);
         }
         let snap = obs.snapshot();
         assert_eq!(

@@ -1,4 +1,4 @@
-//! Static peer lists and the tiny HTTP client behind cross-host recovery.
+//! Static peer lists and the peer calls behind cross-host recovery.
 //!
 //! Multi-host mode (`fastofd serve --peers host:port,...`) gives every
 //! process a fixed list of sibling workers. Three subsystems use it:
@@ -9,22 +9,25 @@
 //! * job / stream recovery ships a dead owner's newest checkpoint across
 //!   filesystems via `GET /v1/{jobs,streams}/{fingerprint}/snapshot`.
 //!
-//! Everything here is bounded: configurable connect/read deadlines
-//! ([`PeerTimeouts`]), one read to EOF verified against `content-length`
-//! (a torn reply is a transport error, never a parsed success), and a
-//! shared [`RetryPolicy`](crate::retry::RetryPolicy) in the fetch path.
+//! Every call goes through the crate's one client,
+//! [`http::exchange`](crate::http::exchange), and is bounded:
+//! configurable connect/read deadlines ([`PeerTimeouts`]), a reply
+//! accepted only whole (a torn one is a transport error, never a parsed
+//! success), and a shared [`RetryPolicy`](crate::retry::RetryPolicy) in
+//! the fetch path.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 use ofd_core::SnapshotStore;
 use serde_json::Value;
 
+use crate::http::exchange;
 use crate::retry::RetryPolicy;
 
 /// Header stamped on every request one fleet process sends another
-/// ([`peer_exchange`]). A catalog describe carrying it is answered from the
+/// ([`peer_json`]). A catalog describe carrying it is answered from the
 /// receiver's own versions only: were it to ask its peers in turn, two
 /// workers listing each other in `--peers` would bounce one unknown name
 /// back and forth until connections ran out.
@@ -85,74 +88,10 @@ pub fn parse_peer_list(spec: &str) -> Result<Vec<SocketAddr>, String> {
     Ok(peers)
 }
 
-/// One bounded HTTP exchange with a peer: connect, send `method path`
-/// (marked with [`PEER_HEADER`]) with an optional JSON body, read the
-/// reply to EOF. Returns the status code and raw body bytes. A reply
-/// whose body is shorter than its `content-length` header is a transport
-/// error (`UnexpectedEof`) — a connection torn mid-body must never
-/// surface as a parsed success.
-pub(crate) fn peer_exchange(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&Value>,
-    timeouts: &PeerTimeouts,
-) -> io::Result<(u16, Vec<u8>)> {
-    let stream = TcpStream::connect_timeout(&addr, timeouts.connect)?;
-    stream.set_read_timeout(Some(timeouts.read))?;
-    stream.set_write_timeout(Some(timeouts.read))?;
-    let payload = body.map(|v| v.to_string()).unwrap_or_default();
-    let mut req = format!(
-        "{method} {path} HTTP/1.1\r\nhost: peer\r\n{PEER_HEADER}: 1\r\ncontent-length: {}\r\n\
-         connection: close\r\n",
-        payload.len()
-    );
-    if body.is_some() {
-        req.push_str("content-type: application/json\r\n");
-    }
-    req.push_str("\r\n");
-    let mut stream = stream;
-    stream.write_all(req.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "truncated peer reply"))?;
-    let head = String::from_utf8_lossy(&raw[..head_end]);
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad peer status line"))?;
-    let reply = raw[head_end + 4..].to_vec();
-    if let Some(expected) = content_length(&head) {
-        if reply.len() < expected {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("short peer reply: {} of {expected} body bytes", reply.len()),
-            ));
-        }
-    }
-    Ok((status, reply))
-}
-
-/// Parse the `content-length` header out of a raw reply head, if any.
-pub(crate) fn content_length(head: &str) -> Option<usize> {
-    head.lines().find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        if name.trim().eq_ignore_ascii_case("content-length") {
-            value.trim().parse().ok()
-        } else {
-            None
-        }
-    })
-}
-
-/// Like [`peer_exchange`], but parse the body as JSON. Non-JSON bodies
-/// become `Null` so callers can treat "peer answered garbage" the same
-/// as "peer answered nothing".
+/// One peer call through [`exchange`]: stamped with [`PEER_HEADER`], an
+/// optional JSON body, and the reply body decoded as JSON — `Null` when
+/// it is not JSON, so callers treat "peer answered garbage" the same as
+/// "peer answered nothing". A torn reply is a transport error.
 pub(crate) fn peer_json(
     addr: SocketAddr,
     method: &str,
@@ -160,12 +99,9 @@ pub(crate) fn peer_json(
     body: Option<&Value>,
     timeouts: &PeerTimeouts,
 ) -> io::Result<(u16, Value)> {
-    let (status, raw) = peer_exchange(addr, method, path, body, timeouts)?;
-    let parsed = std::str::from_utf8(&raw)
-        .ok()
-        .and_then(|text| serde_json::from_str(text).ok())
-        .unwrap_or(Value::Null);
-    Ok((status, parsed))
+    let payload = body.map(Value::to_string).unwrap_or_default();
+    let reply = exchange(addr, method, path, &[(PEER_HEADER, "1")], payload.as_bytes(), timeouts)?;
+    Ok((reply.status, reply.json()))
 }
 
 /// Fetch a snapshot bundle (`{"files": [{name, seq, body}, ...]}`) from
@@ -238,6 +174,7 @@ pub(crate) fn snapshot_bundle(store: &SnapshotStore) -> Option<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
 
     #[test]
     fn peer_lists_parse_and_reject_empty_entries() {
@@ -292,26 +229,6 @@ mod tests {
 
         let _ = std::fs::remove_dir_all(&src_dir);
         let _ = std::fs::remove_dir_all(&dst_dir);
-    }
-
-    #[test]
-    fn short_replies_are_transport_errors_not_parsed_successes() {
-        // A peer that advertises 100 body bytes but closes after 5: the
-        // client must surface UnexpectedEof, never a 200 with a torn body.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let server = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            let mut buf = [0u8; 4096];
-            let _ = conn.read(&mut buf);
-            let reply = "HTTP/1.1 200 OK\r\ncontent-length: 100\r\nconnection: close\r\n\r\ntorn!";
-            conn.write_all(reply.as_bytes()).expect("reply");
-        });
-        let err = peer_exchange(addr, "GET", "/healthz", None, &PeerTimeouts::default())
-            .expect_err("short body must not parse");
-        server.join().expect("server thread");
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(err.to_string().contains("short peer reply"), "got: {err}");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! verbatim, which is why byte-identical-response assertions hold
 //! through it.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,7 +47,7 @@ use ofd_core::{fnv1a64, FaultPlan, Obs};
 use serde_json::{json, Value};
 
 use crate::catalog::{content_fingerprint, Catalog};
-use crate::http::{read_request, AcceptLoop, HttpError, Request, Response};
+use crate::http::{exchange, receive, AcceptLoop, Reply, Request, Response};
 use crate::netfault::NET_COUNTERS;
 use crate::peers::PeerTimeouts;
 use crate::retry::{RetryPolicy, RETRIES_EXHAUSTED};
@@ -66,15 +66,20 @@ pub const ROUTER_COUNTERS: [&str; 7] = [
     "serve.catalog.replicated_partial",
 ];
 
+/// Virtual nodes per worker slot on the hash ring; more vnodes smooth
+/// the key distribution across slots.
+const VNODES_PER_SLOT: usize = 40;
+
+/// Consecutive successful probes before an ejected slot is re-admitted
+/// (`serve.router.ring.readmitted`).
+const READMIT_AFTER: u32 = 2;
+
 /// Router configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Bind address (`127.0.0.1:0` picks a free port — the router plays
     /// by the same OS-assigned-port rule as its workers).
     pub addr: String,
-    /// Virtual nodes per worker slot on the hash ring; more vnodes
-    /// smooth the key distribution across slots.
-    pub vnodes_per_slot: usize,
     /// Base backoff between failover attempts (grows linearly).
     pub retry_backoff_ms: u64,
     /// Extra failover passes over the replica list after the first
@@ -101,9 +106,6 @@ pub struct RouterConfig {
     /// ring (`serve.router.ring.ejected`). Hysteresis: one blip never
     /// moves keys.
     pub eject_after: u32,
-    /// Consecutive successful probes before an ejected slot is
-    /// re-admitted (`serve.router.ring.readmitted`).
-    pub readmit_after: u32,
     /// Catalog directory (the fleet-shared one) so the router can
     /// resolve `dataset:` references to content fingerprints for
     /// routing. `None` falls back to hashing the reference string.
@@ -116,7 +118,6 @@ impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
             addr: "127.0.0.1:0".into(),
-            vnodes_per_slot: 40,
             retry_backoff_ms: 100,
             extra_rounds: 1,
             connect_timeout_ms: 1_000,
@@ -126,7 +127,6 @@ impl Default for RouterConfig {
             max_body_bytes: 16 * 1024 * 1024,
             probe_interval_ms: 500,
             eject_after: 3,
-            readmit_after: 2,
             catalog_dir: None,
             obs: Obs::enabled(),
         }
@@ -153,7 +153,7 @@ impl Fleet {
 
 /// Per-slot probe verdict with hysteresis counters: the prober ejects a
 /// slot from the hash ring after `eject_after` consecutive failures and
-/// re-admits it after `readmit_after` consecutive successes, so one
+/// re-admits it after [`READMIT_AFTER`] consecutive successes, so one
 /// dropped probe never migrates keys and a flapping peer settles instead
 /// of oscillating.
 #[derive(Clone)]
@@ -371,86 +371,39 @@ fn route_key(req: &Request, body: Option<&Value>, shared: &RouterShared) -> u64 
 
 // ------------------------------------------------------------- forwarding
 
-/// Sends `req` to `addr` and reads the complete reply (workers are
-/// `Connection: close`, so EOF delimits it). Returns the status code
-/// and the raw response bytes for verbatim relay.
-///
-/// Two transport checks make chaos survivable: the per-attempt I/O
-/// timeout is clamped to the client's remaining deadline (a forward that
+/// Sends `req` to `addr` over one [`exchange`] and returns the whole
+/// reply, raw bytes kept for verbatim relay. The per-attempt I/O timeout
+/// is clamped to the client's remaining deadline, so a forward that
 /// cannot finish in time fails fast instead of timing out long after the
-/// caller hung up), and a reply whose body is shorter than its
-/// `content-length` is an `UnexpectedEof` — a connection reset mid-body
-/// must never be relayed as a success the client will parse.
+/// caller hung up; a torn reply is a transport error, never relayed.
 fn forward(
     addr: SocketAddr,
     req: &Request,
     cfg: &RouterConfig,
     deadline: Option<Instant>,
-) -> std::io::Result<(u16, Vec<u8>)> {
-    let mut timeout = Duration::from_millis(cfg.forward_timeout_ms);
+) -> std::io::Result<Reply> {
+    let mut read = Duration::from_millis(cfg.forward_timeout_ms);
     if let Some(deadline) = deadline {
         let remaining = deadline
             .checked_duration_since(Instant::now())
             .ok_or_else(|| {
                 std::io::Error::new(std::io::ErrorKind::TimedOut, "request deadline passed")
             })?;
-        timeout = timeout.min(remaining.max(Duration::from_millis(10)));
+        read = read.min(remaining.max(Duration::from_millis(10)));
     }
-    let mut stream = TcpStream::connect_timeout(
-        &addr,
-        Duration::from_millis(cfg.connect_timeout_ms).min(timeout),
-    )?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let head = format!(
-        "{} {} HTTP/1.1\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        req.method,
-        req.path,
-        req.body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&req.body)?;
-    let mut raw = Vec::with_capacity(4096);
-    stream.read_to_end(&mut raw)?;
-    let status = parse_status(&raw).ok_or_else(|| {
-        std::io::Error::other("worker reply missing a status line")
-    })?;
-    if let Some(head_end) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-        let head_text = String::from_utf8_lossy(&raw[..head_end]);
-        if let Some(expected) = crate::peers::content_length(&head_text) {
-            let got = raw.len() - head_end - 4;
-            if got < expected {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("short worker reply: {got} of {expected} body bytes"),
-                ));
-            }
-        }
-    }
-    Ok((status, raw))
-}
-
-fn parse_status(raw: &[u8]) -> Option<u16> {
-    let line_end = raw.windows(2).position(|w| w == b"\r\n")?;
-    let line = std::str::from_utf8(&raw[..line_end]).ok()?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// The JSON body of a raw reply, for the adoption check only.
-fn reply_body(raw: &[u8]) -> Option<Value> {
-    let sep = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
-    serde_json::from_str(std::str::from_utf8(&raw[sep + 4..]).ok()?).ok()
+    let connect = Duration::from_millis(cfg.connect_timeout_ms).min(read);
+    let timeouts = PeerTimeouts { connect, read };
+    exchange(addr, &req.method, &req.path, &[], &req.body, &timeouts)
 }
 
 /// Whether a 200 reply reports a checkpoint resume — on a *retried*
 /// request this is adoption: the replica restored a checkpoint some
 /// other worker wrote.
-fn reply_resumed(raw: &[u8]) -> bool {
-    reply_body(raw).is_some_and(|v| {
-        ["resumed_from_level", "resumed_from_phase", "resumed_from_seq"]
-            .iter()
-            .any(|f| v.get(f).is_some_and(|x| !x.is_null()))
-    })
+fn reply_resumed(reply: &Reply) -> bool {
+    let body = reply.json();
+    ["resumed_from_level", "resumed_from_phase", "resumed_from_seq"]
+        .iter()
+        .any(|f| body.get(f).is_some_and(|x| !x.is_null()))
 }
 
 // ------------------------------------------------------------ front loops
@@ -458,7 +411,7 @@ fn reply_resumed(raw: &[u8]) -> bool {
 /// Polls every worker's `/readyz` and records its `state` label; a slot
 /// that refuses the connection is `down`. The verdicts drive ring
 /// membership: `eject_after` consecutive failures ejects a slot
-/// (`serve.router.ring.ejected`), `readmit_after` consecutive successes
+/// (`serve.router.ring.ejected`), [`READMIT_AFTER`] consecutive successes
 /// re-admits it (`serve.router.ring.readmitted`). A probe counts as
 /// failed when the peer is unreachable *or* reports a non-routable state
 /// (`draining`, `down`) — a host that answers but refuses work sheds its
@@ -485,7 +438,7 @@ fn probe_loop(shared: &RouterShared) {
             if routable {
                 h.fails = 0;
                 h.oks = h.oks.saturating_add(1);
-                if h.ejected && h.oks >= shared.cfg.readmit_after {
+                if h.ejected && h.oks >= READMIT_AFTER {
                     h.ejected = false;
                     shared.obs.inc("serve.router.ring.readmitted");
                 }
@@ -511,45 +464,31 @@ fn probe_loop(shared: &RouterShared) {
     }
 }
 
+/// One `/readyz` probe: the slot's `state` label, or `None` when it is
+/// unreachable or answers something other than JSON.
 fn probe_one(addr: SocketAddr, cfg: &RouterConfig) -> Option<String> {
-    let req = Request {
-        method: "GET".into(),
-        path: "/readyz".into(),
-        headers: Vec::new(),
-        body: Vec::new(),
+    let connect = Duration::from_millis(cfg.connect_timeout_ms);
+    let timeouts = PeerTimeouts {
+        connect,
+        read: connect.max(Duration::from_millis(250)),
     };
-    let mut probe_cfg = cfg.clone();
-    probe_cfg.forward_timeout_ms = cfg.connect_timeout_ms.max(250);
-    let (_, raw) = forward(addr, &req, &probe_cfg, None).ok()?;
-    let state = reply_body(&raw)?
-        .get("state")
-        .and_then(Value::as_str)
-        .unwrap_or("unknown")
-        .to_string();
-    Some(state)
+    let body = exchange(addr, "GET", "/readyz", &[], b"", &timeouts)
+        .ok()?
+        .json();
+    if body.is_null() {
+        return None;
+    }
+    Some(body.get("state").and_then(Value::as_str).unwrap_or("unknown").to_string())
 }
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
     let cfg = &shared.cfg;
-    let req = match read_request(
+    let Some(req) = receive(
         &mut stream,
         cfg.max_body_bytes,
         Duration::from_millis(cfg.head_timeout_ms),
-    ) {
-        Ok(req) => req,
-        // A client that vanished before or mid-request gets no reply —
-        // there is nobody left to read it.
-        Err(HttpError::Disconnected | HttpError::Truncated) => return,
-        Err(e) => {
-            let status = match e {
-                HttpError::HeadTooLarge => 431,
-                HttpError::BodyTooLarge => 413,
-                _ => 400,
-            };
-            let _ = Response::json(status, &json!({ "error": format!("{e}") }))
-                .write_to(&mut stream);
-            return;
-        }
+    ) else {
+        return;
     };
 
     match (req.method.as_str(), req.path.as_str()) {
@@ -607,18 +546,13 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<RouterShared>) {
             // Fan the drain out to every live worker; the router itself
             // holds no in-flight engine state to checkpoint.
             shared.drain_requested.store(true, Ordering::SeqCst);
-            let mut drained = 0u64;
-            for addr in shared.fleet.addrs().into_iter().flatten() {
-                let drain = Request {
-                    method: "POST".into(),
-                    path: "/admin/drain".into(),
-                    headers: Vec::new(),
-                    body: Vec::new(),
-                };
-                if forward(addr, &drain, cfg, None).is_ok() {
-                    drained += 1;
-                }
-            }
+            let drained = shared
+                .fleet
+                .addrs()
+                .into_iter()
+                .flatten()
+                .filter(|&addr| forward(addr, &req, cfg, None).is_ok())
+                .count() as u64;
             let _ = Response::json(200, &json!({ "draining": true, "workers": drained }))
                 .write_to(&mut stream);
         }
@@ -775,14 +709,9 @@ fn replicate_put(req: &Request, stream: &mut TcpStream, shared: &RouterShared, n
 
     // Quorum failed: delete the pinned version wherever it landed, so no
     // surviving peer ever serves a write the fleet did not commit.
+    let rollback = format!("/v1/datasets/{name}/{pinned}");
     for &addr in &acks {
-        let _ = crate::peers::peer_exchange(
-            addr,
-            "DELETE",
-            &format!("/v1/datasets/{name}/{pinned}"),
-            None,
-            &timeouts,
-        );
+        let _ = crate::peers::peer_json(addr, "DELETE", &rollback, None, &timeouts);
     }
     match rejection {
         Some((status, reply)) => {
@@ -819,7 +748,7 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
     let key = route_key(&req, body.as_ref(), shared);
 
     let slots = shared.fleet.addrs().len();
-    let ring = build_ring(slots, cfg.vnodes_per_slot.max(1));
+    let ring = build_ring(slots, VNODES_PER_SLOT);
     let order = candidates(&ring, slots, key);
 
     // The client's own timeout hint bounds the failover schedule: the
@@ -872,16 +801,17 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
                 }
             }
             match forward(addr, &req, cfg, deadline) {
-                Ok((status, raw)) if status < 500 => {
+                Ok(reply) if reply.status < 500 => {
                     obs.inc("serve.router.routed");
-                    if session.failures() > 0 && status == 200 && reply_resumed(&raw) {
+                    if session.failures() > 0 && reply.status == 200 && reply_resumed(&reply) {
                         obs.inc("serve.router.adopted");
                     }
-                    let _ = stream.write_all(&raw);
+                    let _ = stream.write_all(reply.raw());
                     return;
                 }
-                Ok((status, _)) => {
-                    last_error = format!("worker {addr} answered {status} (round {round})");
+                Ok(reply) => {
+                    last_error =
+                        format!("worker {addr} answered {} (round {round})", reply.status);
                     match session.after_failure(false) {
                         Some(sleep) => pending_sleep = Some(sleep),
                         None => break 'failover,
@@ -916,6 +846,7 @@ fn route(req: Request, mut stream: TcpStream, shared: &Arc<RouterShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     #[test]
     fn ring_covers_all_slots_and_is_deterministic() {
@@ -960,20 +891,14 @@ mod tests {
     }
 
     #[test]
-    fn status_line_parsing() {
-        assert_eq!(parse_status(b"HTTP/1.1 200 OK\r\n\r\n"), Some(200));
-        assert_eq!(parse_status(b"HTTP/1.1 503 Service Unavailable\r\nx: y\r\n\r\n"), Some(503));
-        assert_eq!(parse_status(b"garbage"), None);
-    }
-
-    #[test]
     fn resumed_detection_reads_the_reply_body() {
+        let resumed = |raw: &[u8]| reply_resumed(&Reply::parse(raw.to_vec()).expect("reply"));
         let raw = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\r\n{\"resumed_from_level\":3}";
-        assert!(reply_resumed(raw));
+        assert!(resumed(raw));
         let raw = b"HTTP/1.1 200 OK\r\n\r\n{\"resumed_from_seq\":7}";
-        assert!(reply_resumed(raw), "stream-session adoption is detected");
+        assert!(resumed(raw), "stream-session adoption is detected");
         let raw = b"HTTP/1.1 200 OK\r\n\r\n{\"resumed_from_level\":null,\"resumed_from_phase\":null,\"resumed_from_seq\":null}";
-        assert!(!reply_resumed(raw));
+        assert!(!resumed(raw));
     }
 
     #[test]
@@ -989,19 +914,13 @@ mod tests {
         .expect("bind");
         let addr = router.addr();
 
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(b"POST /v1/discover HTTP/1.1\r\ncontent-length: 2\r\n\r\n{}")
-            .expect("write");
-        let mut reply = Vec::new();
-        s.read_to_end(&mut reply).expect("read");
-        assert_eq!(parse_status(&reply), Some(502), "no replicas → bad gateway");
+        let timeouts = PeerTimeouts::default();
+        let reply = exchange(addr, "POST", "/v1/discover", &[], b"{}", &timeouts).expect("post");
+        assert_eq!(reply.status, 502, "no replicas → bad gateway");
 
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(b"GET /metrics HTTP/1.1\r\n\r\n").expect("write");
-        let mut reply = Vec::new();
-        s.read_to_end(&mut reply).expect("read");
-        assert_eq!(parse_status(&reply), Some(200));
-        let body = reply_body(&reply).expect("metrics json");
+        let reply = exchange(addr, "GET", "/metrics", &[], b"", &timeouts).expect("scrape");
+        assert_eq!(reply.status, 200);
+        let body = reply.json();
         let counters = body.get("counters").expect("counters");
         for name in ROUTER_COUNTERS {
             assert!(counters.get(name).is_some(), "{name} pinned at bind");
@@ -1056,8 +975,8 @@ mod tests {
     /// Runs `route` against a fleet and returns (status, elapsed).
     fn route_once(cfg: RouterConfig, fleet: Fleet, body: &Value) -> (Option<u16>, Duration) {
         let shared = Arc::new(RouterShared {
+            obs: cfg.obs.clone(),
             cfg,
-            obs: Obs::disabled(),
             fleet,
             catalog: None,
             stopping: AtomicBool::new(false),
@@ -1079,7 +998,33 @@ mod tests {
         let elapsed = started.elapsed();
         let mut reply = Vec::new();
         client.read_to_end(&mut reply).expect("read");
-        (parse_status(&reply), elapsed)
+        (Reply::parse(reply).ok().map(|r| r.status), elapsed)
+    }
+
+    #[test]
+    fn a_reply_torn_inside_its_head_fails_over_to_a_502() {
+        // A worker that writes a status line and part of its headers, then
+        // closes: the router must treat it as a transport error and fail
+        // over, never relay it to the client as a 200.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let worker = listener.local_addr().expect("addr");
+        std::thread::spawn(move || {
+            for conn in listener.incoming() {
+                let Ok(mut conn) = conn else { return };
+                let _ = crate::http::read_request(&mut conn, 1 << 20, Duration::from_secs(5));
+                let _ = conn.write_all(b"HTTP/1.1 200 OK\r\ncontent-length: 50\r\ncontent-ty");
+            }
+        });
+        let obs = Obs::enabled();
+        let cfg = RouterConfig {
+            retry_backoff_ms: 1,
+            obs: obs.clone(),
+            ..RouterConfig::default()
+        };
+        let (status, _) = route_once(cfg, Fleet::Static(vec![worker]), &json!({"csv": "A\n1\n"}));
+        assert_eq!(status, Some(502), "a torn head is not a success");
+        assert_eq!(counter(&obs, "serve.router.routed"), 0);
+        assert_eq!(counter(&obs, "serve.router.retried"), 1, "the torn reply failed over once");
     }
 
     #[test]
@@ -1194,13 +1139,8 @@ mod tests {
         (addr, stop)
     }
 
-    fn http_get(addr: SocketAddr, path: &str) -> (Option<u16>, Option<Value>) {
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.write_all(format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes())
-            .expect("write");
-        let mut reply = Vec::new();
-        s.read_to_end(&mut reply).expect("read");
-        (parse_status(&reply), reply_body(&reply))
+    fn http_get(addr: SocketAddr, path: &str) -> Reply {
+        exchange(addr, "GET", path, &[], b"", &PeerTimeouts::default()).expect("get")
     }
 
     fn counter(obs: &Obs, name: &str) -> u64 {
@@ -1227,7 +1167,6 @@ mod tests {
             RouterConfig {
                 probe_interval_ms: 20,
                 eject_after: 3,
-                readmit_after: 2,
                 connect_timeout_ms: 200,
                 obs: obs.clone(),
                 ..RouterConfig::default()
@@ -1257,22 +1196,22 @@ mod tests {
             1,
             "continued failures must not re-count an already ejected slot"
         );
-        let (status, body) = http_get(router.addr(), "/readyz");
-        assert_eq!(status, Some(200), "one live worker keeps the router ready");
-        let body = body.expect("readyz body");
+        let reply = http_get(router.addr(), "/readyz");
+        assert_eq!(reply.status, 200, "one live worker keeps the router ready");
+        let body = reply.json();
         assert_eq!(body.get("state").and_then(Value::as_str), Some("degraded"));
         assert_eq!(body.get("live_workers").and_then(Value::as_u64), Some(1));
         let workers = body.get("workers").and_then(Value::as_array).expect("workers");
         assert_eq!(workers[1].get("ejected").and_then(Value::as_bool), Some(true));
 
-        // Recovery readmits after readmit_after consecutive healthy probes.
+        // Recovery readmits after READMIT_AFTER consecutive healthy probes.
         flappy.store(0, Ordering::SeqCst);
         wait_until(Duration::from_secs(10), "readmission", || {
             counter(&obs, "serve.router.ring.readmitted") == 1
         });
-        let (status, body) = http_get(router.addr(), "/readyz");
-        assert_eq!(status, Some(200));
-        let body = body.expect("readyz body");
+        let reply = http_get(router.addr(), "/readyz");
+        assert_eq!(reply.status, 200);
+        let body = reply.json();
         assert_eq!(body.get("state").and_then(Value::as_str), Some("ok"));
         assert_eq!(body.get("live_workers").and_then(Value::as_u64), Some(2));
 

@@ -33,7 +33,7 @@ use serde_json::{json, Value};
 
 use crate::breaker::{Admission, Breaker};
 use crate::catalog::{Catalog, CatalogError};
-use crate::http::{read_request, AcceptLoop, HttpError, Request, Response};
+use crate::http::{receive, AcceptLoop, Request, Response};
 use crate::jobs::{self, Endpoint, JobContext, JobError, ENDPOINTS, ENDPOINT_COUNT};
 use crate::peers::PEER_HEADER;
 use crate::stream::{StreamSessions, STREAM_COUNTERS};
@@ -376,25 +376,12 @@ fn shed_body(error: &str, retry_after_ms: u64) -> Value {
 
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let cfg = &shared.cfg;
-    let req = match read_request(
+    let Some(req) = receive(
         &mut stream,
         cfg.max_body_bytes,
         Duration::from_millis(cfg.head_timeout_ms.max(1)),
-    ) {
-        Ok(req) => req,
-        // Both mean the client is gone: nothing arrived, or it hung up
-        // mid-body. Neither is answerable, so no 400 goes on the wire.
-        Err(HttpError::Disconnected | HttpError::Truncated) => return,
-        Err(e) => {
-            let status = match e {
-                HttpError::HeadTooLarge => 431,
-                HttpError::BodyTooLarge => 413,
-                _ => 400,
-            };
-            let _ = Response::json(status, &json!({ "error": format!("{e}") }))
-                .write_to(&mut stream);
-            return;
-        }
+    ) else {
+        return;
     };
 
     match (req.method.as_str(), req.path.as_str()) {

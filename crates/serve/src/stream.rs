@@ -30,18 +30,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use ofd_core::{
-    CoreError, Fingerprint, IncrementalChecker, Obs, Ofd, OfdKind, Relation, SenseIndex,
-    SnapshotStore,
+    CoreError, IncrementalChecker, Obs, Ofd, OfdKind, Relation, SenseIndex, SnapshotStore,
 };
-use ofd_datagen::csv;
 use ofd_discovery::{DiscoveryOptions, FastOfd};
-use ofd_ontology::{parse_ontology, Ontology};
+use ofd_ontology::Ontology;
 use serde_json::{json, Value};
 
-use crate::catalog::{keyed_content, CatalogEntry};
 use crate::jobs::{
-    field, opt_f64, opt_str, opt_u64, parse_spec_list, required_str, JobContext, JobError,
-    JobOutcome,
+    field, opt_f64, opt_u64, parse_spec_list, Inputs, JobContext, JobError, JobOutcome,
 };
 
 /// Counters owned by the streaming layer, touched at server bind so the
@@ -425,90 +421,14 @@ fn spec_string(ofd: &Ofd, schema: &ofd_core::Schema) -> String {
     format!("{}->{}", lhs.join(","), schema.name(ofd.rhs))
 }
 
-/// The request's base inputs, *resolved but not parsed*: the edit hot
-/// path (a resident session absorbing a one-row batch) must never pay a
-/// full CSV parse, so parsing is deferred to [`BaseRef::materialize`],
-/// which only runs when a session is actually built or rebuilt.
-struct BaseRef<'a> {
-    key: u64,
-    /// `(csv, ontology)` texts for inline requests.
-    inline: Option<(&'a str, &'a str)>,
-    /// The interned catalog entry for `dataset: "name@version"` requests.
-    entry: Option<Arc<CatalogEntry>>,
-}
-
-impl BaseRef<'_> {
-    /// The key state after `"stream"` and the resolved texts; cataloged
-    /// texts are hashed once per entry, not per edit.
-    fn keyed(&self) -> Fingerprint {
-        match (&self.entry, self.inline) {
-            (Some(e), _) => e.keyed("stream"),
-            (None, Some((csv, onto))) => keyed_content("stream", csv, onto),
-            (None, None) => unreachable!("resolve_base always sets one source"),
-        }
-    }
-
-    /// `"name@version"` echo for responses; `Null` for inline inputs.
-    fn dataset_field(&self) -> Value {
-        match &self.entry {
-            Some(e) => json!(format!("{}@{}", e.name, e.version)),
-            None => Value::Null,
-        }
-    }
-
-    /// Parses (or clones the interned parse of) the base relation and
-    /// ontology — the one expensive step, paid only at session build.
-    fn materialize(&self) -> Result<(Relation, Ontology), JobError> {
-        if let Some(e) = &self.entry {
-            return Ok((e.relation.clone(), e.ontology_parsed.clone()));
-        }
-        let (csv_text, onto_text) = self.inline.expect("resolve_base always sets one source");
-        let rel = csv::read_csv(csv_text)
-            .map_err(|e| JobError::BadRequest(format!("csv: {e}")))?;
-        let onto = if onto_text.is_empty() {
-            Ontology::empty()
-        } else {
-            parse_ontology(onto_text)
-                .map_err(|e| JobError::BadRequest(format!("ontology: {e}")))?
-        };
-        Ok((rel, onto))
-    }
-}
-
 /// Resolves the base inputs and computes the session key: a fingerprint
 /// of the resolved texts and the Σ configuration. Resolved content only —
 /// a session opened inline and touched later by `dataset: "name@version"`
-/// reference is the same session, on any replica.
-fn resolve_base<'a>(body: &'a Value, ctx: &JobContext) -> Result<BaseRef<'a>, JobError> {
-    let mut base = if let Some(reference) = opt_str(body, "dataset")? {
-        if field(body, "csv").is_some() {
-            return Err(JobError::BadRequest(
-                "request carries both \"dataset\" and inline \"csv\"; pick one".into(),
-            ));
-        }
-        let catalog = ctx.catalog.as_ref().ok_or_else(|| {
-            JobError::BadRequest(
-                "no dataset catalog on this server (start it with --checkpoint-dir)".into(),
-            )
-        })?;
-        let entry = catalog
-            .resolve(reference)
-            .map_err(|e| JobError::BadRequest(format!("dataset: {}", e.message())))?;
-        BaseRef {
-            key: 0,
-            inline: None,
-            entry: Some(entry),
-        }
-    } else {
-        let csv_text = required_str(body, "csv")?;
-        let onto_text = opt_str(body, "ontology")?.unwrap_or("");
-        BaseRef {
-            key: 0,
-            inline: Some((csv_text, onto_text)),
-            entry: None,
-        }
-    };
-    let mut fp = base.keyed();
+/// reference is the same session, on any replica. Nothing is parsed
+/// here; [`Inputs::parse`] runs only when a session is built or rebuilt.
+fn resolve_base<'a>(body: &'a Value, ctx: &JobContext) -> Result<(Inputs<'a>, u64), JobError> {
+    let base = Inputs::resolve(body, ctx)?;
+    let mut fp = base.keyed("stream");
     fp.update_u64(opt_u64(body, "theta")?.map_or(u64::MAX, |t| t.wrapping_add(1)));
     if let Some(specs) = field(body, "ofds").and_then(Value::as_array) {
         fp.update_str("explicit");
@@ -520,8 +440,7 @@ fn resolve_base<'a>(body: &'a Value, ctx: &JobContext) -> Result<BaseRef<'a>, Jo
         fp.update_u64(opt_f64(body, "kappa")?.unwrap_or(-1.0).to_bits());
         fp.update_u64(opt_u64(body, "max_level")?.map_or(u64::MAX, |v| v.wrapping_add(1)));
     }
-    base.key = fp.finish();
-    Ok(base)
+    Ok((base, fp.finish()))
 }
 
 fn build_index(rel: &Relation, onto: &Ontology, theta: Option<usize>) -> SenseIndex {
@@ -546,9 +465,9 @@ fn open_session(
     body: &Value,
     ctx: &JobContext,
     endpoint: &str,
-    base: &BaseRef<'_>,
+    base: &Inputs<'_>,
+    key: u64,
 ) -> Result<Opened, JobError> {
-    let key = base.key;
     if let Some(sess) = ctx.sessions.get(key) {
         return Ok(Opened::Ready(sess));
     }
@@ -580,7 +499,7 @@ fn open_session(
             loaded = store.load_latest("session").ok().flatten();
         }
         if let Some(loaded) = loaded {
-            match rebuild(ctx, base, &loaded.body) {
+            match rebuild(ctx, base, key, &loaded.body) {
                 Ok(mut sess) => {
                     ctx.obs.inc("serve.stream.resumed");
                     sess.store = store.clone().into();
@@ -596,7 +515,8 @@ fn open_session(
     // Fresh build. Σ comes from the request's "ofds" list, or from a
     // discovery run over the base relation when none is given.
     let theta = opt_u64(body, "theta").map_err(JobError::from)?.map(|t| t as usize);
-    let (rel, onto) = base.materialize()?;
+    let (rel, onto) = base.parse()?;
+    let (rel, onto) = (rel.into_owned(), onto.into_owned());
     let specs: Vec<String> = match field(body, "ofds").and_then(Value::as_array) {
         Some(raw) => {
             let mut strings = Vec::with_capacity(raw.len());
@@ -687,7 +607,12 @@ fn open_session(
 /// own inputs, Σ from the persisted spec strings, state by replaying the
 /// edit log. Any replay failure poisons the whole rebuild — the caller
 /// falls back to a fresh session.
-fn rebuild(ctx: &JobContext, base: &BaseRef<'_>, snap: &Value) -> Result<Session, JobError> {
+fn rebuild(
+    ctx: &JobContext,
+    base: &Inputs<'_>,
+    key: u64,
+    snap: &Value,
+) -> Result<Session, JobError> {
     if snap.get("version").and_then(Value::as_u64) != Some(1) {
         return Err(JobError::BadRequest("unknown session snapshot version".into()));
     }
@@ -702,7 +627,8 @@ fn rebuild(ctx: &JobContext, base: &BaseRef<'_>, snap: &Value) -> Result<Session
                 .collect()
         })
         .unwrap_or_default();
-    let (rel, onto) = base.materialize()?;
+    let (rel, onto) = base.parse()?;
+    let (rel, onto) = (rel.into_owned(), onto.into_owned());
     let sigma = if specs.is_empty() {
         Vec::new()
     } else {
@@ -712,7 +638,7 @@ fn rebuild(ctx: &JobContext, base: &BaseRef<'_>, snap: &Value) -> Result<Session
     let index = build_index(&rel, &onto, theta);
     let checker = IncrementalChecker::new(&rel, &index, &sigma);
     let mut sess = Session {
-        fingerprint: base.key,
+        fingerprint: key,
         rel,
         onto,
         index,
@@ -821,8 +747,8 @@ fn run_batch(
     endpoint: &str,
     ops: Vec<Value>,
 ) -> Result<(Value, JobOutcome), JobError> {
-    let base = resolve_base(body, ctx)?;
-    let sess = match open_session(body, ctx, endpoint, &base)? {
+    let (base, key) = resolve_base(body, ctx)?;
+    let sess = match open_session(body, ctx, endpoint, &base, key)? {
         Opened::Ready(s) => s,
         Opened::Incomplete(value, outcome) => return Ok((value, outcome)),
     };

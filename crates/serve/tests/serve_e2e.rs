@@ -2,75 +2,26 @@
 //! worker pool, real engines. Each test binds its own server on a free
 //! port and shuts it down explicitly.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ofd_datagen::{clinical, csv, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
-use ofd_serve::{Fleet, Router, RouterConfig, ServeConfig, Server};
+use ofd_serve::http::{exchange, Reply};
+use ofd_serve::{Fleet, PeerTimeouts, Router, RouterConfig, ServeConfig, Server};
 use serde_json::{json, Value};
 
 // ------------------------------------------------------------ tiny client
 
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Value,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: Option<&Value>) -> Reply {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let body_text = body
-        .map(|b| serde_json::to_string(b).expect("serialize"))
-        .unwrap_or_default();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: test\r\ncontent-length: {}\r\n\r\n",
-        body_text.len()
-    );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body_text.as_bytes()).expect("write body");
-    read_reply(&mut stream)
-}
-
-fn read_reply(stream: &mut TcpStream) -> Reply {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("timeout");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read reply");
-    let text = String::from_utf8(raw).expect("utf8 reply");
-    let (head, body) = text.split_once("\r\n\r\n").expect("reply head");
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|s| s.parse().ok())
-        .expect("status code");
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    let body = if body.is_empty() {
-        Value::Null
-    } else {
-        serde_json::from_str(body).unwrap_or(Value::String(body.to_string()))
+    let payload = body.map(Value::to_string).unwrap_or_default();
+    let timeouts = PeerTimeouts {
+        connect: Duration::from_secs(10),
+        read: Duration::from_secs(120),
     };
-    Reply {
-        status,
-        headers,
-        body,
-    }
+    exchange(addr, method, path, &[], payload.as_bytes(), &timeouts).expect("request")
 }
 
 // --------------------------------------------------------------- fixtures
@@ -164,16 +115,17 @@ fn health_ready_metrics_and_routing() {
 
     let ready = request(addr, "GET", "/readyz", None);
     assert_eq!(ready.status, 200);
-    assert_eq!(ready.body.get("ready").and_then(Value::as_bool), Some(true));
+    assert_eq!(ready.json().get("ready").and_then(Value::as_bool), Some(true));
 
     let metrics = request(addr, "GET", "/metrics", None);
     assert_eq!(metrics.status, 200);
+    let metrics = metrics.json();
     assert_eq!(
-        metrics.body.get("version").and_then(Value::as_u64),
+        metrics.get("version").and_then(Value::as_u64),
         Some(1),
         "metrics speak schema v1"
     );
-    let counters = metrics.body.get("counters").expect("counters");
+    let counters = metrics.get("counters").expect("counters");
     for name in ofd_serve::SERVE_COUNTERS {
         assert!(
             counters.get(name).and_then(Value::as_u64).is_some(),
@@ -203,11 +155,11 @@ fn discover_roundtrip_matches_in_process_run() {
     );
     assert_eq!(reply.status, 200);
     assert_eq!(
-        reply.body.get("status").and_then(Value::as_str),
+        reply.json().get("status").and_then(Value::as_str),
         Some("complete")
     );
     assert_eq!(
-        sigma_keys(&reply.body),
+        sigma_keys(&reply.json()),
         reference_sigma(&csv_text, &onto_text),
         "served Σ is bit-identical to the in-process run"
     );
@@ -231,7 +183,7 @@ fn validate_and_clean_roundtrip() {
         Some(&json!({ "csv": &csv_text, "ontology": &onto_text })),
     );
     let specs: Vec<Value> = discovered
-        .body
+        .json()
         .get("ofds")
         .and_then(Value::as_array)
         .expect("ofds")
@@ -266,7 +218,7 @@ fn validate_and_clean_roundtrip() {
     );
     assert_eq!(validated.status, 200);
     assert_eq!(
-        validated.body.get("all_satisfied").and_then(Value::as_bool),
+        validated.json().get("all_satisfied").and_then(Value::as_bool),
         Some(true),
         "discovered OFDs validate on the clean instance"
     );
@@ -283,11 +235,11 @@ fn validate_and_clean_roundtrip() {
     );
     assert_eq!(cleaned.status, 200);
     assert_eq!(
-        cleaned.body.get("satisfied").and_then(Value::as_bool),
+        cleaned.json().get("satisfied").and_then(Value::as_bool),
         Some(true)
     );
     assert!(cleaned
-        .body
+        .json()
         .get("repaired_csv")
         .and_then(Value::as_str)
         .is_some());
@@ -328,12 +280,12 @@ fn tiny_queue_sheds_with_backoff_hints_and_retries_succeed() {
     for r in &shed {
         assert!(r.header("retry-after").is_some(), "shed carries Retry-After");
         assert!(
-            r.body.get("retry_after_ms").and_then(Value::as_u64).is_some(),
+            r.json().get("retry_after_ms").and_then(Value::as_u64).is_some(),
             "shed carries a millisecond hint"
         );
     }
     for r in &ok {
-        assert_eq!(sigma_keys(&r.body), reference, "admitted bursts are correct");
+        assert_eq!(sigma_keys(&r.json()), reference, "admitted bursts are correct");
     }
 
     // A shed client that retries with backoff eventually gets through.
@@ -354,7 +306,7 @@ fn tiny_queue_sheds_with_backoff_hints_and_retries_succeed() {
         std::thread::sleep(backoff);
         backoff = (backoff * 2).min(Duration::from_secs(1));
     };
-    assert_eq!(sigma_keys(&reply.body), reference);
+    assert_eq!(sigma_keys(&reply.json()), reference);
 
     let summary = server.shutdown(Duration::from_secs(10));
     assert!(summary.shed >= 1);
@@ -398,18 +350,19 @@ fn drain_cancels_in_flight_then_restart_resumes_byte_identically() {
     // sound INCOMPLETE partial cancelled at a checkpoint.
     let reply = inflight.join().expect("inflight client");
     assert_eq!(reply.status, 200, "admitted work is answered, not dropped");
-    let status = reply.body.get("status").and_then(Value::as_str).expect("status");
+    let body = reply.json();
+    let status = body.get("status").and_then(Value::as_str).expect("status");
     if status == "incomplete" {
         assert_eq!(
-            reply.body.get("interrupt").and_then(Value::as_str),
+            body.get("interrupt").and_then(Value::as_str),
             Some("cancelled")
         );
         // Soundness: the partial Σ is a subset of the reference.
-        for key in sigma_keys(&reply.body) {
+        for key in sigma_keys(&body) {
             assert!(reference.contains(&key), "partial Σ entry {key:?} is sound");
         }
     } else {
-        assert_eq!(sigma_keys(&reply.body), reference);
+        assert_eq!(sigma_keys(&body), reference);
     }
 
     // Draining server refuses new work and reports not-ready.
@@ -441,11 +394,11 @@ fn drain_cancels_in_flight_then_restart_resumes_byte_identically() {
     );
     assert_eq!(reply.status, 200);
     assert_eq!(
-        reply.body.get("status").and_then(Value::as_str),
+        reply.json().get("status").and_then(Value::as_str),
         Some("complete")
     );
     assert_eq!(
-        sigma_keys(&reply.body),
+        sigma_keys(&reply.json()),
         reference,
         "post-restart result is byte-identical to an uninterrupted run"
     );
@@ -475,7 +428,7 @@ fn breaker_opens_after_consecutive_panics_and_recovers() {
     let open = request(addr, "POST", "/v1/discover", Some(&body));
     assert_eq!(open.status, 503);
     assert_eq!(
-        open.body.get("error").and_then(Value::as_str),
+        open.json().get("error").and_then(Value::as_str),
         Some("circuit_open")
     );
     assert!(open.header("retry-after").is_some());
@@ -571,7 +524,7 @@ fn completed_jobs_are_never_counted_as_client_disconnects() {
         let validated = request(addr, "POST", "/v1/validate", Some(&base));
         assert_eq!(validated.status, 200);
         assert_eq!(
-            validated.body.get("status").and_then(Value::as_str),
+            validated.json().get("status").and_then(Value::as_str),
             Some("complete")
         );
         let mut append = base.clone();
@@ -581,7 +534,7 @@ fn completed_jobs_are_never_counted_as_client_disconnects() {
         let appended = request(addr, "POST", "/v1/append", Some(&append));
         assert_eq!(appended.status, 200);
         assert_eq!(
-            appended.body.get("status").and_then(Value::as_str),
+            appended.json().get("status").and_then(Value::as_str),
             Some("complete")
         );
     }
@@ -650,13 +603,14 @@ fn readyz_reports_state_queue_depth_and_breaker_summary() {
     let server = Server::bind(ServeConfig::default()).expect("bind");
     let ready = request(server.addr(), "GET", "/readyz", None);
     assert_eq!(ready.status, 200);
-    assert_eq!(ready.body.get("state").and_then(Value::as_str), Some("ok"));
-    assert_eq!(ready.body.get("queue_depth").and_then(Value::as_u64), Some(0));
+    let ready = ready.json();
+    assert_eq!(ready.get("state").and_then(Value::as_str), Some("ok"));
+    assert_eq!(ready.get("queue_depth").and_then(Value::as_u64), Some(0));
     assert!(
-        ready.body.get("queue_cap").and_then(Value::as_u64).unwrap_or(0) > 0,
+        ready.get("queue_cap").and_then(Value::as_u64).unwrap_or(0) > 0,
         "capacity reported next to depth"
     );
-    let breakers = ready.body.get("breakers").expect("breaker summary");
+    let breakers = ready.get("breakers").expect("breaker summary");
     for endpoint in ["discover", "clean", "validate"] {
         assert_eq!(
             breakers.get(endpoint).and_then(Value::as_str),
@@ -688,18 +642,18 @@ fn dataset_catalog_registers_resolves_and_survives_restart() {
         Some(&json!({ "csv": &csv_text, "ontology": &onto_text })),
     );
     assert_eq!(put.status, 200);
-    assert_eq!(put.body.get("version").and_then(Value::as_u64), Some(1));
+    assert_eq!(put.json().get("version").and_then(Value::as_u64), Some(1));
 
     // ...then run jobs by reference instead of re-shipping rows.
     let by_ref = request(addr, "POST", "/v1/discover", Some(&json!({ "dataset": "clinical" })));
     assert_eq!(by_ref.status, 200);
     assert_eq!(
-        by_ref.body.get("dataset").and_then(Value::as_str),
+        by_ref.json().get("dataset").and_then(Value::as_str),
         Some("clinical@1"),
         "response echoes the resolved reference"
     );
     assert_eq!(
-        sigma_keys(&by_ref.body),
+        sigma_keys(&by_ref.json()),
         reference,
         "by-reference Σ is bit-identical to the inline run"
     );
@@ -708,13 +662,13 @@ fn dataset_catalog_registers_resolves_and_survives_restart() {
     let list = request(addr, "GET", "/v1/datasets", None);
     assert_eq!(list.status, 200);
     assert_eq!(
-        list.body.get("datasets").and_then(Value::as_array).map(Vec::len),
+        list.json().get("datasets").and_then(Value::as_array).map(Vec::len),
         Some(1)
     );
     let meta = request(addr, "GET", "/v1/datasets/clinical", None);
     assert_eq!(meta.status, 200);
-    assert_eq!(meta.body.get("n_rows").and_then(Value::as_u64), Some(200));
-    assert!(meta.body.get("csv").is_none(), "describe never ships rows");
+    assert_eq!(meta.json().get("n_rows").and_then(Value::as_u64), Some(200));
+    assert!(meta.json().get("csv").is_none(), "describe never ships rows");
 
     // Re-registration appends a version; the pin still resolves v1.
     let put2 = request(
@@ -723,7 +677,7 @@ fn dataset_catalog_registers_resolves_and_survives_restart() {
         "/v1/datasets/clinical",
         Some(&json!({ "csv": &csv_text })),
     );
-    assert_eq!(put2.body.get("version").and_then(Value::as_u64), Some(2));
+    assert_eq!(put2.json().get("version").and_then(Value::as_u64), Some(2));
 
     // Unknown references and bad names are client errors.
     let unknown = request(addr, "POST", "/v1/discover", Some(&json!({ "dataset": "nope" })));
@@ -747,7 +701,7 @@ fn dataset_catalog_registers_resolves_and_survives_restart() {
         Some(&json!({ "dataset": "clinical@1" })),
     );
     assert_eq!(reply.status, 200);
-    assert_eq!(sigma_keys(&reply.body), reference, "catalog survives restart");
+    assert_eq!(sigma_keys(&reply.json()), reference, "catalog survives restart");
     server.shutdown(Duration::from_secs(10));
     let _ = std::fs::remove_dir_all(&ckpt);
 }
@@ -782,7 +736,7 @@ fn mutual_peers_answer_an_unknown_name_without_a_describe_storm() {
     let requests = |obs: &ofd_core::Obs| obs.snapshot().counter("serve.requests").unwrap_or(0);
 
     let unknown = request(a.addr(), "GET", "/v1/datasets/nope", None);
-    assert_eq!(unknown.status, 400, "{:?}", unknown.body);
+    assert_eq!(unknown.status, 400, "{:?}", unknown.json());
     let (on_a, on_b) = (requests(&obs_a), requests(&obs_b));
     assert!(
         on_a <= 2 && on_b <= 2,
@@ -798,10 +752,10 @@ fn mutual_peers_answer_an_unknown_name_without_a_describe_storm() {
         "/v1/datasets/solo",
         Some(&json!({ "csv": &csv_text, "ontology": &onto_text })),
     );
-    assert_eq!(put.status, 200, "{:?}", put.body);
+    assert_eq!(put.status, 200, "{:?}", put.json());
     let meta = request(a.addr(), "GET", "/v1/datasets/solo", None);
-    assert_eq!(meta.status, 200, "{:?}", meta.body);
-    assert_eq!(meta.body.get("version").and_then(Value::as_u64), Some(1));
+    assert_eq!(meta.status, 200, "{:?}", meta.json());
+    assert_eq!(meta.json().get("version").and_then(Value::as_u64), Some(1));
     assert_eq!(
         obs_a.snapshot().counter("serve.catalog.peer_fetch"),
         Some(1),
@@ -836,11 +790,11 @@ fn timeout_budget_yields_incomplete_not_error() {
     );
     assert_eq!(reply.status, 200, "a timed-out job is a sound partial, not a failure");
     assert_eq!(
-        reply.body.get("status").and_then(Value::as_str),
+        reply.json().get("status").and_then(Value::as_str),
         Some("incomplete")
     );
     assert_eq!(
-        reply.body.get("interrupt").and_then(Value::as_str),
+        reply.json().get("interrupt").and_then(Value::as_str),
         Some("deadline_exceeded")
     );
     server.shutdown(Duration::from_secs(10));

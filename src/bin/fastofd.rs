@@ -378,6 +378,9 @@ fn run() -> Result<ExitCode, String> {
                 Some(n) => n.parse().map_err(|_| "--workers expects an integer")?,
                 None => 2,
             };
+            // Checked before any worker spawns; the router enforces the
+            // same cap its workers get.
+            let max_body_bytes = single("max-body-mib").map(parse_max_body_mib).transpose()?;
             let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
             let mut worker_args: Vec<String> =
                 vec!["serve".into(), "--addr".into(), "127.0.0.1:0".into()];
@@ -434,6 +437,9 @@ fn run() -> Result<ExitCode, String> {
                 obs: obs_handle.clone(),
                 ..fastofd::serve::RouterConfig::default()
             };
+            if let Some(bytes) = max_body_bytes {
+                router_cfg.max_body_bytes = bytes;
+            }
             if let Some(ms) = single("probe-interval-ms") {
                 router_cfg.probe_interval_ms =
                     ms.parse().map_err(|_| "--probe-interval-ms expects an integer")?;
@@ -491,8 +497,7 @@ fn run() -> Result<ExitCode, String> {
                 cfg.budget_ms = ms.parse().map_err(|_| "--budget-ms expects an integer")?;
             }
             if let Some(mib) = single("max-body-mib") {
-                let mib: usize = mib.parse().map_err(|_| "--max-body-mib expects an integer")?;
-                cfg.max_body_bytes = mib * 1024 * 1024;
+                cfg.max_body_bytes = parse_max_body_mib(mib)?;
             }
             if let Some(mib) = single("rss-high-water-mib") {
                 cfg.rss_high_water_mib =
@@ -689,6 +694,15 @@ fn parse_kappa(text: &str) -> Result<f64, String> {
         .try_min_support(kappa)
         .map(|_| kappa)
         .map_err(|e| format!("--kappa: {e}"))
+}
+
+/// Parses `--max-body-mib` into a byte cap for either serve mode. A
+/// count of MiB whose bytes do not fit in `usize` is a typed error, never
+/// an overflow panic or a cap that wraps to zero.
+fn parse_max_body_mib(text: &str) -> Result<usize, String> {
+    let mib: usize = text.parse().map_err(|_| "--max-body-mib expects an integer")?;
+    mib.checked_mul(1024 * 1024)
+        .ok_or_else(|| format!("--max-body-mib: {mib} MiB does not fit in memory"))
 }
 
 fn load(

@@ -2,7 +2,8 @@
 //! check (violated) → clean → check (satisfied), all through real files.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fastofd"))
@@ -232,6 +233,36 @@ fn out_of_range_kappa_is_a_typed_error() {
     assert!(out.status.success(), "{stderr}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("->"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--max-body-mib` whose bytes overflow `usize` is a typed error in
+/// both serve modes, raised before anything binds or spawns: never an
+/// overflow panic, and never a router left listening in front of a worker
+/// that died on the flag. The child is polled against a deadline because
+/// a router that does start runs until it is killed.
+#[test]
+fn oversized_max_body_is_a_typed_error() {
+    for mode in [&[][..], &["--router", "--workers", "1"][..]] {
+        let mut child = bin()
+            .args(["serve", "--addr", "127.0.0.1:0", "--max-body-mib", "17592186044416"])
+            .args(mode)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().expect("poll serve").is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let _ = child.kill();
+        let out = child.wait_with_output().expect("serve output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("serve {mode:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        assert!(stderr.contains("error:"), "{what}");
+        assert!(!stderr.contains("panicked"), "{what}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("listening on"), "{what}");
+    }
 }
 
 #[test]
