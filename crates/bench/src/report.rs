@@ -44,15 +44,11 @@ impl ExpResult {
         }
     }
 
-    /// Embeds an `ofd-obs` snapshot in the report (no-op when disabled).
-    /// The snapshot's own JSON writer is reparsed into a [`Value`] so the
-    /// report stays a single self-describing document.
+    /// Embeds an `ofd-obs` snapshot in the report (no-op when disabled), so
+    /// the report stays a single self-describing document.
     pub fn attach_metrics(&mut self, snapshot: &ofd_core::MetricsSnapshot) {
-        if !snapshot.enabled {
-            return;
-        }
-        if let Ok(v) = serde_json::from_str(&snapshot.to_json_string(false)) {
-            self.metrics = Some(v);
+        if snapshot.enabled {
+            self.metrics = Some(snapshot.to_json());
         }
     }
 

@@ -8,11 +8,18 @@
 //! counterexample: pairwise compatibility does not imply a class-wide
 //! witness), so evidence only ever answers "refuted", never "satisfied".
 //!
-//! Discovery gathers evidence from focused row samples and consults it
-//! before paying for a full-relation scan; see
-//! `ofd-discovery`'s sampling module for the gathering policy.
+//! [`PairKernel::gather`] samples the pairs, HyFD-style: round `r`
+//! compares every row with its `r + 1`-distant neighbour in each
+//! attribute's sort order, since two rows violating `X → A` agree on `X`
+//! and so sit close together when sorted by any attribute of `X`.
+//! Discovery consults the evidence before paying for a full-relation scan,
+//! and the HyFD baseline (`fd-baselines`) induces its FD hypotheses from
+//! it. Soundness is one-directional: a sampled pair that refutes `X → A`
+//! refutes it on the full relation, while nothing is concluded from the
+//! *absence* of evidence.
 
 use crate::fxhash::FxHashMap;
+use crate::guard::ExecGuard;
 use crate::relation::Relation;
 use crate::schema::{AttrId, AttrSet};
 use crate::sense_index::SenseIndex;
@@ -81,6 +88,15 @@ impl EvidenceSet {
         }
     }
 
+    /// The agree-sets recorded against `rhs`, in recording order (or, after
+    /// [`EvidenceSet::keep_maximal`], the maximal ones): pairs agreeing on
+    /// each refute every exact `X → rhs` with `X` inside it.
+    pub fn witnesses(&self, rhs: AttrId) -> impl Iterator<Item = AttrSet> + '_ {
+        self.per_rhs[rhs.index()]
+            .iter()
+            .map(|&bits| AttrSet::from_bits(bits))
+    }
+
     /// Whether the recorded evidence refutes the exact OFD `lhs → rhs`.
     #[inline]
     pub fn refutes(&self, lhs: AttrSet, rhs: AttrId) -> bool {
@@ -109,11 +125,12 @@ impl EvidenceSet {
     }
 }
 
-/// The tuple-pair routine of one evidence gather. Built once per gather:
-/// it holds the relation's cells row by row (a pair then reads two short
-/// rows instead of one cell in every column) and a 128-bit *sense
-/// signature* per interned value: bit `s % 128` set for every sense `s`, 0
-/// for a value with no sense.
+/// The tuple-pair routine of the evidence sampler, and its pair schedule
+/// ([`PairKernel::gather`]). Built once per relation: it holds the
+/// relation's cells row by row (a pair then reads two short rows instead of
+/// one cell in every column) and a 128-bit *sense signature* per interned
+/// value: bit `s % 128` set for every sense `s`, 0 for a value with no
+/// sense.
 ///
 /// Two distinct values whose signatures do not intersect share no sense (a
 /// common sense would set a common bit), so they are incompatible with no
@@ -122,6 +139,8 @@ impl EvidenceSet {
 /// the two sense lists decides those.
 #[derive(Debug)]
 pub struct PairKernel<'a> {
+    /// The relation, whose columns give the gather's sort orders.
+    rel: &'a Relation,
     /// Row-major cells: row `t` is `rows[t·width .. (t+1)·width]`.
     rows: Vec<ValueId>,
     width: usize,
@@ -158,6 +177,7 @@ impl<'a> PairKernel<'a> {
             }
         }
         PairKernel {
+            rel,
             rows,
             width,
             index,
@@ -196,6 +216,63 @@ impl<'a> PairKernel<'a> {
             ev.record(agree, incompat);
         }
     }
+
+    /// Runs `rounds` sorted-neighbourhood passes over the relation: round
+    /// `r` observes every row with its `r + 1`-distant neighbour in each
+    /// attribute's `(value, row)` order. Returns the evidence, with every
+    /// distinct witness kept, and the number of rounds fully run.
+    ///
+    /// Deterministic: the pair schedule depends only on the relation
+    /// contents, never on threads or timing. The guard is probed once per
+    /// (round, attribute) block; a trip returns the evidence gathered so
+    /// far, which is still sound.
+    pub fn gather(&self, rounds: usize, guard: &ExecGuard) -> (EvidenceSet, u64) {
+        let rel = self.rel;
+        let mut evidence = EvidenceSet::new(self.width);
+        let mut rounds_run = 0;
+        // One order per attribute, reused across rounds.
+        let orders: Vec<Vec<u32>> = rel
+            .schema()
+            .attrs()
+            .map(|a| value_order(rel.column(a)))
+            .collect();
+        'rounds: for dist in 1..=rounds.min(rel.n_rows().saturating_sub(1)) {
+            for order in &orders {
+                if guard.check().is_err() {
+                    break 'rounds;
+                }
+                for (&t1, &t2) in order.iter().zip(&order[dist..]) {
+                    self.observe(&mut evidence, t1 as usize, t2 as usize);
+                }
+            }
+            rounds_run += 1;
+        }
+        (evidence, rounds_run)
+    }
+}
+
+/// The rows of one column in ascending `(value id, row)` order, by one
+/// counting pass over the column's value-id range. Rows are placed in
+/// ascending row order within each value, so ties break exactly as a sort
+/// by `(value, row)` breaks them.
+fn value_order(col: &[ValueId]) -> Vec<u32> {
+    let lo = col.iter().map(|v| v.index()).min().unwrap_or(0);
+    let hi = col.iter().map(|v| v.index()).max().unwrap_or(0);
+    // next[v - lo]: where the next row holding value v goes.
+    let mut next = vec![0u32; hi - lo + 2];
+    for v in col {
+        next[v.index() - lo + 1] += 1;
+    }
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+    let mut order = vec![0u32; col.len()];
+    for (t, v) in col.iter().enumerate() {
+        let slot = &mut next[v.index() - lo];
+        order[*slot as usize] = t as u32;
+        *slot += 1;
+    }
+    order
 }
 
 /// Whether two sorted sense lists intersect (merge scan; sense lists are
@@ -215,8 +292,11 @@ fn shares_sense(a: &[ofd_ontology::SenseId], b: &[ofd_ontology::SenseId]) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ofd::Ofd;
     use crate::relation::table1;
-    use ofd_ontology::{samples, SenseId};
+    use crate::validate::Validator;
+    use ofd_ontology::{samples, Ontology, OntologyBuilder, SenseId};
+    use proptest::prelude::*;
 
     /// The per-attribute merge the kernel replaces: the test reference.
     fn observe_naive(
@@ -378,5 +458,203 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Width of the kernel's sense signatures.
+    const SIGNATURE_BITS: usize = 128;
+
+    /// The gather the kernel replaces, as a test reference: comparison-sorted
+    /// orders, a per-attribute sense-list intersection for every differing
+    /// cell, and one witness insert per incompatible attribute. Returns the
+    /// evidence, its incompatible-pair count and the orders.
+    fn naive_gather(
+        rel: &Relation,
+        index: &SenseIndex,
+        rounds: usize,
+    ) -> (EvidenceSet, u64, Vec<Vec<u32>>) {
+        let n = rel.n_rows();
+        let orders: Vec<Vec<u32>> = rel
+            .schema()
+            .attrs()
+            .map(|a| {
+                let col = rel.column(a);
+                let mut order: Vec<u32> = (0..n as u32).collect();
+                order.sort_unstable_by_key(|&t| (col[t as usize], t));
+                order
+            })
+            .collect();
+        let mut ev = EvidenceSet::new(rel.n_attrs());
+        let mut pairs = 0u64;
+        for dist in 1..=rounds {
+            if dist >= n {
+                break;
+            }
+            for order in &orders {
+                for i in 0..n - dist {
+                    let (t1, t2) = (order[i] as usize, order[i + dist] as usize);
+                    let mut agree = AttrSet::empty();
+                    let mut incompat = AttrSet::empty();
+                    for a in rel.schema().attrs() {
+                        let (v1, v2) = (rel.value(t1, a), rel.value(t2, a));
+                        let (s1, s2) = (index.senses(v1), index.senses(v2));
+                        if v1 == v2 {
+                            agree.insert(a);
+                        } else if !s1.iter().any(|s| s2.binary_search(s).is_ok()) {
+                            incompat.insert(a);
+                        }
+                    }
+                    if !incompat.is_empty() {
+                        pairs += 1;
+                        for a in incompat.iter() {
+                            ev.observe_agree(agree, a);
+                        }
+                    }
+                }
+            }
+        }
+        (ev, pairs, orders)
+    }
+
+    /// Random relations over values carrying up to six senses each, in an
+    /// ontology whose sense ids span more than twice the signature width:
+    /// sense `base + 128·lane` for `base < 8`, `lane < 3`, so distinct
+    /// senses share signature bits all the time. Every sense also names a
+    /// filler value that never occurs in the relation.
+    fn arb_sensed_instance() -> impl Strategy<Value = (Relation, Ontology)> {
+        let n_attrs = 4usize;
+        let n_values = 10usize;
+        let rows = prop::collection::vec(prop::collection::vec(0..n_values, n_attrs), 2..40);
+        let senses = prop::collection::vec(
+            prop::collection::vec((0usize..8, 0usize..3), 0..7),
+            n_values,
+        );
+        (rows, senses).prop_map(move |(rows, senses)| {
+            let names: Vec<String> = (0..n_attrs).map(|i| format!("A{i}")).collect();
+            let mut b = Relation::builder(
+                crate::schema::Schema::new(names.iter().map(String::as_str)).unwrap(),
+            );
+            for row in &rows {
+                let cells: Vec<String> = row.iter().map(|v| format!("v{v}")).collect();
+                b.push_row(cells.iter().map(String::as_str)).unwrap();
+            }
+            let mut members = vec![Vec::new(); 8 + 2 * SIGNATURE_BITS];
+            for (v, list) in senses.iter().enumerate() {
+                for &(base, lane) in list {
+                    members[base + SIGNATURE_BITS * lane].push(format!("v{v}"));
+                }
+            }
+            let mut ob = OntologyBuilder::new();
+            for (sense, mut values) in members.into_iter().enumerate() {
+                values.sort();
+                values.dedup();
+                ob.concept(format!("s{sense}"))
+                    .synonym(format!("filler{sense}"))
+                    .synonyms(values)
+                    .build()
+                    .unwrap();
+            }
+            (b.finish(), ob.finish().unwrap())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The signature-filtered kernel, its one-probe dedup and the
+        /// counting-sort schedule give the naive gather's pair count and
+        /// refutation answers, both before and after the maximal-witness
+        /// reduction.
+        #[test]
+        fn kernel_gather_equals_naive_reference(
+            (rel, onto) in arb_sensed_instance(),
+            rounds in 1usize..4,
+        ) {
+            prop_assert!(onto.len() >= 2 * SIGNATURE_BITS);
+            let index = SenseIndex::synonym(&rel, &onto);
+            let (naive, naive_pairs, naive_orders) = naive_gather(&rel, &index, rounds);
+            for a in rel.schema().attrs() {
+                prop_assert_eq!(&value_order(rel.column(a)), &naive_orders[a.index()]);
+            }
+            let (raw, _) = PairKernel::new(&rel, &index).gather(rounds, &ExecGuard::unlimited());
+            let mut reduced = raw.clone();
+            reduced.keep_maximal();
+            let mut naive_reduced = naive.clone();
+            naive_reduced.keep_maximal();
+            prop_assert_eq!(raw.pair_count(), naive_pairs);
+            prop_assert_eq!(reduced.pair_count(), naive_pairs);
+            prop_assert_eq!(raw.len(), naive.len());
+            prop_assert_eq!(reduced.len(), naive_reduced.len());
+            for rhs in (0..rel.n_attrs()).map(AttrId::from_index) {
+                for bits in 0..(1u64 << rel.n_attrs()) {
+                    let lhs = AttrSet::from_bits(bits);
+                    let want = naive.refutes(lhs, rhs);
+                    prop_assert_eq!(raw.refutes(lhs, rhs), want);
+                    prop_assert_eq!(reduced.refutes(lhs, rhs), want);
+                    prop_assert_eq!(naive_reduced.refutes(lhs, rhs), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evidence_is_sound_wrt_full_relation() {
+        // The soundness contract: any candidate the sample
+        // refutes is refuted by exact validation over the full relation.
+        let rel = table1();
+        let onto = samples::combined_paper_ontology();
+        let index = SenseIndex::synonym(&rel, &onto);
+        let (mut evidence, rounds_run) =
+            PairKernel::new(&rel, &index).gather(4, &ExecGuard::unlimited());
+        evidence.keep_maximal();
+        assert_eq!(rounds_run, 4);
+        assert!(!evidence.is_empty(), "Table 1 yields witnesses");
+        let v = Validator::new(&rel, &onto);
+        let schema = rel.schema();
+        for a in schema.attrs() {
+            for bits in 0..(1u64 << schema.len()) {
+                let lhs = AttrSet::from_bits(bits);
+                if lhs.contains(a) || !evidence.refutes(lhs, a) {
+                    continue;
+                }
+                let ofd = Ofd::synonym(lhs, a);
+                assert!(
+                    !v.check(&ofd).satisfied(),
+                    "sample refuted the valid OFD {}",
+                    ofd.display(schema)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sampling_is_deterministic_and_guard_aware() {
+        let rel = table1();
+        let onto = samples::combined_paper_ontology();
+        let index = SenseIndex::synonym(&rel, &onto);
+        let kernel = PairKernel::new(&rel, &index);
+        let (a, _) = kernel.gather(3, &ExecGuard::unlimited());
+        let (b, _) = kernel.gather(3, &ExecGuard::unlimited());
+        assert_eq!(a.per_rhs, b.per_rhs);
+        assert_eq!(a.pair_count(), b.pair_count());
+        // A pre-tripped guard stops before any pair is examined.
+        let tripped = ExecGuard::unlimited();
+        tripped.cancel();
+        let (c, rounds_run) = kernel.gather(3, &tripped);
+        assert_eq!(rounds_run, 0);
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn degenerate_inputs_produce_no_evidence() {
+        let rel = table1();
+        let onto = samples::combined_paper_ontology();
+        let index = SenseIndex::synonym(&rel, &onto);
+        let kernel = PairKernel::new(&rel, &index);
+        let (none, rounds_run) = kernel.gather(0, &ExecGuard::unlimited());
+        assert_eq!(rounds_run, 0);
+        assert!(none.is_empty());
+        // Distances beyond the relation size terminate cleanly.
+        let (_, far) = kernel.gather(10_000, &ExecGuard::unlimited());
+        assert_eq!(far, rel.n_rows() as u64 - 1);
     }
 }

@@ -33,14 +33,13 @@ use std::collections::BTreeSet;
 
 use crate::fxhash::FxHashMap;
 
-use ofd_ontology::SenseId;
-
 use crate::error::CoreError;
 use crate::ofd::Ofd;
 use crate::partition::StrippedPartition;
 use crate::relation::Relation;
 use crate::schema::AttrId;
 use crate::sense_index::SenseIndex;
+use crate::validate::VerifyScratch;
 use crate::value::ValueId;
 
 /// Per-class bookkeeping: members and the consequent value multiset.
@@ -48,36 +47,10 @@ use crate::value::ValueId;
 struct ClassState {
     /// Tuple ids of the class, unordered (swap-removed on retract).
     members: Vec<u32>,
+    /// Consequent value → its tuples in the class: what
+    /// [`VerifyScratch::covers`] re-verifies the class from, in O(distinct
+    /// values of the class).
     counts: FxHashMap<ValueId, u32>,
-}
-
-impl ClassState {
-    fn size(&self) -> u32 {
-        self.members.len() as u32
-    }
-
-    /// Whether some single interpretation covers the whole class.
-    fn satisfied(&self, index: &SenseIndex) -> bool {
-        if self.counts.len() <= 1 {
-            return true;
-        }
-        let size = self.size();
-        let mut sense_counts: FxHashMap<SenseId, u32> = FxHashMap::default();
-        for (&v, &c) in &self.counts {
-            let senses = index.senses(v);
-            if senses.is_empty() {
-                return false;
-            }
-            for &s in senses {
-                let entry = sense_counts.entry(s).or_insert(0);
-                *entry += c;
-                if *entry == size {
-                    return true;
-                }
-            }
-        }
-        false
-    }
 }
 
 /// Where an antecedent value combination currently lives.
@@ -130,6 +103,7 @@ pub struct IncrementalChecker {
     violated: BTreeSet<(usize, usize)>,
     /// OFD indexes per consequent attribute.
     by_rhs: FxHashMap<AttrId, Vec<usize>>,
+    scratch: VerifyScratch,
 }
 
 impl IncrementalChecker {
@@ -139,6 +113,7 @@ impl IncrementalChecker {
         let mut states = Vec::with_capacity(sigma.len());
         let mut violated = BTreeSet::new();
         let mut by_rhs: FxHashMap<AttrId, Vec<usize>> = FxHashMap::default();
+        let mut scratch = VerifyScratch::default();
         for (oi, ofd) in sigma.iter().enumerate() {
             by_rhs.entry(ofd.rhs).or_default().push(oi);
             let sp = StrippedPartition::of(rel, ofd.lhs);
@@ -159,7 +134,7 @@ impl IncrementalChecker {
                     *counts.entry(col[t as usize]).or_insert(0) += 1;
                 }
                 let state = ClassState { members, counts };
-                if !state.satisfied(index) {
+                if !scratch.covers(&state.counts, state.members.len() as u32, index) {
                     violated.insert((oi, ci));
                 }
                 st.classes.push(state);
@@ -185,6 +160,7 @@ impl IncrementalChecker {
             states,
             violated,
             by_rhs,
+            scratch,
         }
     }
 
@@ -242,7 +218,7 @@ impl IncrementalChecker {
                 state.counts.remove(&old);
             }
             *state.counts.entry(new).or_insert(0) += 1;
-            let sat = state.satisfied(index);
+            let sat = self.scratch.covers(&state.counts, state.members.len() as u32, index);
             Self::record(&mut self.violated, oi, ci, sat);
             reverified += 1;
         }
@@ -295,7 +271,7 @@ impl IncrementalChecker {
                     st.membership.insert(s, ci);
                     st.membership.insert(t, ci);
                     st.groups.insert(key, Slot::Class(ci));
-                    let sat = st.classes[ci as usize].satisfied(index);
+                    let sat = self.scratch.covers(&state.counts, state.members.len() as u32, index);
                     Self::record(&mut self.violated, oi, ci, sat);
                     reverified += 1;
                 }
@@ -304,7 +280,7 @@ impl IncrementalChecker {
                     state.members.push(t);
                     *state.counts.entry(col[t as usize]).or_insert(0) += 1;
                     st.membership.insert(t, ci);
-                    let sat = state.satisfied(index);
+                    let sat = self.scratch.covers(&state.counts, state.members.len() as u32, index);
                     Self::record(&mut self.violated, oi, ci, sat);
                     reverified += 1;
                 }
@@ -332,64 +308,62 @@ impl IncrementalChecker {
             });
         }
         let t = row as u32;
+        // First pass: find the tuple in every OFD (its group's slot, its
+        // place among its class's members and its tracked consequent value)
+        // before any OFD lets go of it, so a stale call is atomic.
+        let mut found = Vec::with_capacity(self.states.len());
+        for (st, ofd) in self.states.iter().zip(&self.sigma) {
+            let stale = CoreError::StaleUpdate {
+                row,
+                attr: ofd.rhs.index(),
+            };
+            let key = st.key_of(rel, row);
+            let place = match st.groups.get(&key) {
+                Some(&Slot::Singleton(s)) if s == t => None,
+                Some(&Slot::Class(ci)) => {
+                    let state = &st.classes[ci as usize];
+                    if !state.counts.contains_key(&rel.value(row, ofd.rhs)) {
+                        return Err(stale);
+                    }
+                    let pos = state.members.iter().position(|&m| m == t).ok_or(stale)?;
+                    Some((ci, pos))
+                }
+                _ => return Err(stale),
+            };
+            found.push((key, place));
+        }
         let mut reverified = 0;
         // Detach the tuple from every OFD's partition while the relation
         // still holds its values.
-        for oi in 0..self.sigma.len() {
-            let rhs = self.sigma[oi].rhs;
-            let value = rel.value(row, rhs);
+        for (oi, (key, place)) in found.into_iter().enumerate() {
+            let value = rel.value(row, self.sigma[oi].rhs);
             let st = &mut self.states[oi];
-            let key = st.key_of(rel, row);
-            match st.groups.get(&key).copied() {
-                Some(Slot::Singleton(s)) if s == t => {
-                    st.groups.remove(&key);
-                }
-                Some(Slot::Class(ci)) => {
-                    let state = &mut st.classes[ci as usize];
-                    let pos = state
-                        .members
-                        .iter()
-                        .position(|&m| m == t)
-                        .ok_or(CoreError::StaleUpdate {
-                            row,
-                            attr: rhs.index(),
-                        })?;
-                    state.members.swap_remove(pos);
-                    match state.counts.get_mut(&value) {
-                        Some(c) if *c > 1 => *c -= 1,
-                        Some(_) => {
-                            state.counts.remove(&value);
-                        }
-                        None => {
-                            return Err(CoreError::StaleUpdate {
-                                row,
-                                attr: rhs.index(),
-                            })
-                        }
-                    }
-                    st.membership.remove(&t);
-                    if state.members.len() == 1 {
-                        // Demote: one tuple left, back to a stripped
-                        // singleton; the slot is recycled.
-                        let rem = state.members[0];
-                        state.members.clear();
-                        state.counts.clear();
-                        st.membership.remove(&rem);
-                        st.free.push(ci);
-                        st.groups.insert(key, Slot::Singleton(rem));
-                        self.violated.remove(&(oi, ci as usize));
-                    } else {
-                        let sat = st.classes[ci as usize].satisfied(index);
-                        Self::record(&mut self.violated, oi, ci, sat);
-                        reverified += 1;
-                    }
-                }
-                _ => {
-                    return Err(CoreError::StaleUpdate {
-                        row,
-                        attr: rhs.index(),
-                    })
-                }
+            let Some((ci, pos)) = place else {
+                st.groups.remove(&key); // the tuple's own singleton
+                continue;
+            };
+            let state = &mut st.classes[ci as usize];
+            state.members.swap_remove(pos);
+            let count = state.counts.get_mut(&value).expect("pre-checked");
+            *count -= 1;
+            if *count == 0 {
+                state.counts.remove(&value);
+            }
+            st.membership.remove(&t);
+            if state.members.len() == 1 {
+                // Demote: one tuple left, back to a stripped singleton; the
+                // slot is recycled.
+                let rem = state.members[0];
+                state.members.clear();
+                state.counts.clear();
+                st.membership.remove(&rem);
+                st.free.push(ci);
+                st.groups.insert(key, Slot::Singleton(rem));
+                self.violated.remove(&(oi, ci as usize));
+            } else {
+                let sat = self.scratch.covers(&state.counts, state.members.len() as u32, index);
+                Self::record(&mut self.violated, oi, ci, sat);
+                reverified += 1;
             }
         }
         let moved_from = rel.swap_remove_row(row)?;
@@ -684,6 +658,41 @@ mod tests {
         let new = rel.set(0, med, "tiazac").unwrap();
         checker.apply_update(&index, 0, med, old, new).unwrap();
         assert_eq!(checker.violation_count(), full_violations(&rel, &onto, &sigma));
+    }
+
+    #[test]
+    fn failed_retract_leaves_the_checker_intact() {
+        // t0[DIAG] changed behind the checker's back moves t0's key under
+        // SYMP,DIAG → MED only. The retract must fail before CC → CTRY
+        // lets go of t0, so it succeeds once the cell is restored.
+        let onto = samples::combined_paper_ontology();
+        let mut rel = table1();
+        let sigma = sigma_for(&rel);
+        let index = SenseIndex::synonym(&rel, &onto);
+        let mut checker = IncrementalChecker::new(&rel, &index, &sigma);
+        let diag = rel.schema().attr("DIAG").unwrap();
+        let med = rel.schema().attr("MED").unwrap();
+        let original = rel.pool().resolve(rel.value(0, diag)).to_owned();
+        rel.set(0, diag, "desynced").unwrap();
+        let err = checker.apply_retract(&mut rel, &index, 0).unwrap_err();
+        assert!(
+            matches!(err, CoreError::StaleUpdate { row: 0, attr } if attr == med.index()),
+            "expected StaleUpdate on MED, got {err:?}"
+        );
+        assert_eq!(rel.n_rows(), 11, "nothing was removed");
+        rel.set(0, diag, &original).unwrap();
+        let out = checker.apply_retract(&mut rel, &index, 0).unwrap();
+        let mut fresh_rel = table1();
+        let mut fresh = IncrementalChecker::new(&fresh_rel, &index, &sigma);
+        assert_eq!(fresh.apply_retract(&mut fresh_rel, &index, 0).unwrap(), out);
+        assert_eq!(
+            checker.violations().collect::<Vec<_>>(),
+            fresh.violations().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            checker.violation_count(),
+            full_violations(&rel, &onto, &sigma)
+        );
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //!   checksummed checkpoint snapshots written atomically at level/phase
 //!   boundaries, plus seeded deterministic fault injection
 //!   ([`FaultPlan`]) for I/O errors, worker panics and delays;
-//! * zero-dependency observability ([`Obs`], [`MetricsSnapshot`]): counters,
-//!   gauges, histograms and span timers threaded through the engines the
-//!   same way the guards are;
+//! * observability ([`Obs`], [`MetricsSnapshot`]): counters, gauges,
+//!   histograms and span timers threaded through the engines the same way
+//!   the guards are;
 //! * exact κ-support arithmetic ([`meets_support`], [`support_threshold`]),
 //!   the single boundary comparison shared by discovery, the brute-force
 //!   oracle and approximate cleaning.
@@ -69,7 +69,6 @@ pub use relation::{table1, table1_updated, Relation, RelationBuilder, MAX_ROWS};
 pub use schema::{AttrId, AttrSet, AttrSetIter, Schema, MAX_ATTRS};
 pub use sense_index::SenseIndex;
 pub use validate::{
-    check_ofd_with_index, covered_within, estimate_support, ClassOutcome, Validation, Validator,
-    VerifyScratch, Witness,
+    covered_within, estimate_support, ClassOutcome, Validation, Validator, VerifyScratch, Witness,
 };
 pub use value::{ValueId, ValuePool};

@@ -1,5 +1,5 @@
-//! `ofd-obs`: zero-dependency observability — counters, gauges, fixed-bucket
-//! histograms and lightweight span timers — for the long-running engines.
+//! `ofd-obs`: observability — counters, gauges, fixed-bucket histograms and
+//! lightweight span timers — for the long-running engines.
 //!
 //! An [`Obs`] is a cheap, cloneable handle that threads through the system
 //! exactly like [`ExecGuard`](crate::ExecGuard): engines take it
@@ -15,8 +15,8 @@
 //! derived (span durations, utilization) goes into spans or gauges. The
 //! metrics-invariance tests rely on this split.
 //!
-//! The JSON serializer is hand-rolled (ofd-core stays dependency-free); the
-//! schema is versioned and checked by a plain-Rust test in CI:
+//! A snapshot is a serde_json document ([`ToJson`]); the schema is
+//! versioned and checked by a plain-Rust test in CI:
 //!
 //! ```json
 //! {
@@ -36,6 +36,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+use serde_json::{json, ToJson, Value};
 
 /// A fixed-boundary monotonic histogram: `counts[i]` tallies observations
 /// `≤ bounds[i]`, with one overflow bucket at the end
@@ -111,73 +113,12 @@ impl MetricsSnapshot {
     /// Serializes the snapshot to the versioned JSON schema; `pretty` adds
     /// newlines and two-space indentation.
     pub fn to_json_string(&self, pretty: bool) -> String {
-        let mut w = JsonWriter::new(pretty);
-        w.open_object();
-        w.key("version");
-        w.raw("1");
-        w.key("enabled");
-        w.raw(if self.enabled { "true" } else { "false" });
-        w.key("counters");
-        w.open_object();
-        for (name, v) in &self.counters {
-            w.key(name);
-            w.raw(&v.to_string());
-        }
-        w.close_object();
-        w.key("gauges");
-        w.open_object();
-        for (name, v) in &self.gauges {
-            w.key(name);
-            w.number(*v);
-        }
-        w.close_object();
-        w.key("histograms");
-        w.open_object();
-        for (name, h) in &self.histograms {
-            w.key(name);
-            w.open_object();
-            w.key("bounds");
-            w.open_array();
-            for b in &h.bounds {
-                w.item();
-                w.number(*b);
-            }
-            w.close_array();
-            w.key("counts");
-            w.open_array();
-            for c in &h.counts {
-                w.item();
-                w.raw(&c.to_string());
-            }
-            w.close_array();
-            w.key("count");
-            w.raw(&h.count.to_string());
-            w.key("sum");
-            w.number(h.sum);
-            w.close_object();
-        }
-        w.close_object();
-        w.key("spans");
-        w.open_array();
-        for s in &self.spans {
-            w.item();
-            w.open_object();
-            w.key("name");
-            w.string(&s.name);
-            w.key("parent");
-            match s.parent {
-                Some(p) => w.raw(&p.to_string()),
-                None => w.raw("null"),
-            }
-            w.key("start_us");
-            w.raw(&s.start_us.to_string());
-            w.key("elapsed_us");
-            w.raw(&s.elapsed_us.to_string());
-            w.close_object();
-        }
-        w.close_array();
-        w.close_object();
-        w.finish()
+        let text = if pretty {
+            serde_json::to_string_pretty(self)
+        } else {
+            serde_json::to_string(self)
+        };
+        text.expect("a metrics document always prints")
     }
 
     /// Renders the span tree as indented text (for `--trace` on stderr).
@@ -218,130 +159,33 @@ impl MetricsSnapshot {
     }
 }
 
-/// Minimal JSON writer: the only encoder ofd-core needs, kept private so
-/// the crate stays dependency-free.
-struct JsonWriter {
-    out: String,
-    pretty: bool,
-    depth: usize,
-    /// Whether the current container already has an entry (comma control).
-    has_entry: Vec<bool>,
+impl ToJson for MetricsSnapshot {
+    /// The versioned metrics document; non-finite floats print as `null`.
+    fn to_json(&self) -> Value {
+        json!({
+            "version": 1,
+            "enabled": self.enabled,
+            "counters": members(&self.counters, |&v| json!(v)),
+            "gauges": members(&self.gauges, |&v| json!(v)),
+            "histograms": members(&self.histograms, |h| json!({
+                "bounds": h.bounds.clone(),
+                "counts": h.counts.clone(),
+                "count": h.count,
+                "sum": h.sum,
+            })),
+            "spans": Value::Array(self.spans.iter().map(|s| json!({
+                "name": s.name.as_str(),
+                "parent": s.parent,
+                "start_us": s.start_us,
+                "elapsed_us": s.elapsed_us,
+            })).collect()),
+        })
+    }
 }
 
-impl JsonWriter {
-    fn new(pretty: bool) -> JsonWriter {
-        JsonWriter {
-            out: String::new(),
-            pretty,
-            depth: 0,
-            has_entry: Vec::new(),
-        }
-    }
-
-    fn newline_indent(&mut self) {
-        if self.pretty {
-            self.out.push('\n');
-            for _ in 0..self.depth {
-                self.out.push_str("  ");
-            }
-        }
-    }
-
-    fn entry_prefix(&mut self) {
-        if let Some(has) = self.has_entry.last_mut() {
-            if *has {
-                self.out.push(',');
-            }
-            *has = true;
-        }
-        self.newline_indent();
-    }
-
-    fn open_object(&mut self) {
-        self.out.push('{');
-        self.depth += 1;
-        self.has_entry.push(false);
-    }
-
-    fn close_object(&mut self) {
-        let had = self.has_entry.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had {
-            self.newline_indent();
-        }
-        self.out.push('}');
-    }
-
-    fn open_array(&mut self) {
-        self.out.push('[');
-        self.depth += 1;
-        self.has_entry.push(false);
-    }
-
-    fn close_array(&mut self) {
-        let had = self.has_entry.pop().unwrap_or(false);
-        self.depth -= 1;
-        if had {
-            self.newline_indent();
-        }
-        self.out.push(']');
-    }
-
-    /// Starts an object entry: comma, key and colon.
-    fn key(&mut self, name: &str) {
-        self.entry_prefix();
-        self.push_escaped(name);
-        self.out.push(':');
-        if self.pretty {
-            self.out.push(' ');
-        }
-    }
-
-    /// Starts an array element (comma control only).
-    fn item(&mut self) {
-        self.entry_prefix();
-    }
-
-    fn raw(&mut self, token: &str) {
-        self.out.push_str(token);
-    }
-
-    fn string(&mut self, s: &str) {
-        self.push_escaped(s);
-    }
-
-    fn number(&mut self, v: f64) {
-        if v.is_finite() {
-            // `{:?}` prints a round-trippable decimal form; JSON accepts
-            // its exponent notation.
-            let _ = write!(self.out, "{v:?}");
-        } else {
-            // JSON has no NaN/Infinity.
-            self.out.push_str("null");
-        }
-    }
-
-    fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-
-    fn finish(self) -> String {
-        self.out
-    }
+/// A JSON object with one member per named item, in order.
+fn members<T>(items: &[(String, T)], value: impl Fn(&T) -> Value) -> Value {
+    Value::Object(items.iter().map(|(k, v)| (k.clone(), value(v))).collect())
 }
 
 #[derive(Debug, Default)]

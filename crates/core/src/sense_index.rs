@@ -102,9 +102,9 @@ impl SenseIndex {
         self.senses(value).binary_search(&sense).is_ok()
     }
 
-    /// Manually records that `value` belongs to `sense` — used by the
-    /// cleaning algorithms to overlay *candidate* ontology repairs without
-    /// rebuilding the ontology.
+    /// Manually records that `value` belongs to `sense`, overlaying a
+    /// membership the ontology lacks without rebuilding it (a candidate
+    /// ontology repair, or a sense id chosen to collide with another).
     pub fn add_sense(&mut self, value: ValueId, sense: SenseId) {
         if self.per_value.len() <= value.index() {
             self.per_value.resize_with(value.index() + 1, Vec::new);

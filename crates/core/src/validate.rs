@@ -6,11 +6,14 @@
 //! counterexample: pairwise-common classes whose global intersection is
 //! empty). Verification scans the stripped partition once, maintaining
 //! sense frequencies per class — linear in the number of tuples, as the
-//! paper's complexity analysis requires. [`check_ofd_with_index`] reports
-//! every class; discovery's [`covered_within`] only counts covered tuples,
-//! in dense arrays, and stops once a support budget is lost.
+//! paper's complexity analysis requires. One per-class routine on
+//! [`VerifyScratch`] decides every class: [`Validator`] asks it for each
+//! class's cover and witness, discovery's [`covered_within`] only for the
+//! uncovered tuples within a support budget, and
+//! [`crate::IncrementalChecker`] feeds it the value counts it maintains.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use crate::fxhash::FxHashMap;
@@ -113,13 +116,15 @@ impl Validation {
 /// Verifies OFDs and FDs against one relation and ontology.
 ///
 /// The synonym-mode [`SenseIndex`] is built eagerly; inheritance-mode
-/// indexes are built per `θ` on first use and cached.
+/// indexes are built per `θ` on first use and cached. Every check counts
+/// through one [`VerifyScratch`].
 #[derive(Debug)]
 pub struct Validator<'a> {
     rel: &'a Relation,
     onto: &'a Ontology,
     syn_index: SenseIndex,
     inh_indexes: RefCell<HashMap<usize, SenseIndex>>,
+    scratch: RefCell<VerifyScratch>,
 }
 
 impl<'a> Validator<'a> {
@@ -130,17 +135,7 @@ impl<'a> Validator<'a> {
             onto,
             syn_index: SenseIndex::synonym(rel, onto),
             inh_indexes: RefCell::new(HashMap::new()),
-        }
-    }
-
-    /// Creates a validator with a caller-supplied synonym index (used by the
-    /// cleaning algorithms to overlay candidate ontology repairs).
-    pub fn with_index(rel: &'a Relation, onto: &'a Ontology, index: SenseIndex) -> Validator<'a> {
-        Validator {
-            rel,
-            onto,
-            syn_index: index,
-            inh_indexes: RefCell::new(HashMap::new()),
+            scratch: RefCell::new(VerifyScratch::default()),
         }
     }
 
@@ -191,54 +186,43 @@ impl<'a> Validator<'a> {
         self.check_fd_with_partition(fd, &sp)
     }
 
+    /// Every class's cover and witness; the index's construction mode
+    /// (synonym vs inheritance) determines the semantics.
     fn run(&self, ofd: &Ofd, partition: &StrippedPartition, index: &SenseIndex) -> Validation {
-        check_ofd_with_index(self.rel, index, ofd, partition)
-    }
-}
-
-/// Checks an OFD against a caller-supplied [`SenseIndex`] and precomputed
-/// antecedent partition.
-///
-/// This is the thread-safe core of [`Validator::check_with_partition`]
-/// (`Relation` and `SenseIndex` are `Sync`). Discovery, which needs only a
-/// count, uses [`covered_within`] instead. The index's construction mode
-/// (synonym vs inheritance) determines the semantics; the `ofd.kind` field
-/// is not consulted.
-pub fn check_ofd_with_index(
-    rel: &Relation,
-    index: &SenseIndex,
-    ofd: &Ofd,
-    partition: &StrippedPartition,
-) -> Validation {
-    let col = rel.column(ofd.rhs);
-    let mut outcomes = Vec::with_capacity(partition.class_count());
-    let mut covered_total = rel.n_rows() - partition.tuple_count();
-    let mut value_counts: FxHashMap<ValueId, u32> = FxHashMap::default();
-    let mut sense_counts: FxHashMap<SenseId, u32> = FxHashMap::default();
-    for (class_index, class) in partition.classes().enumerate() {
-        let outcome = class_outcome(
-            class_index,
-            class,
-            col,
-            index,
-            &mut value_counts,
-            &mut sense_counts,
-        );
-        covered_total += outcome.covered;
-        outcomes.push(outcome);
-    }
-    Validation {
-        ofd: *ofd,
-        n_rows: rel.n_rows(),
-        outcomes,
-        covered_tuples: covered_total,
+        let col = self.rel.column(ofd.rhs);
+        let mut scratch = self.scratch.borrow_mut();
+        scratch.prepare(self.rel);
+        let outcomes: Vec<ClassOutcome> = partition
+            .classes()
+            .enumerate()
+            .map(|(class_index, class)| {
+                let (covered, witness) = scratch
+                    .class_cover::<true>(class, col, index, usize::MAX)
+                    .expect("a nonzero budget always yields a count");
+                ClassOutcome {
+                    class_index,
+                    representative: class.first().copied().unwrap_or(0),
+                    size: class.len(),
+                    covered: covered as usize,
+                    witness,
+                }
+            })
+            .collect();
+        let stripped = self.rel.n_rows() - partition.tuple_count();
+        Validation {
+            ofd: *ofd,
+            n_rows: self.rel.n_rows(),
+            covered_tuples: stripped + outcomes.iter().map(|o| o.covered).sum::<usize>(),
+            outcomes,
+        }
     }
 }
 
 /// Estimates an OFD's support from a uniform tuple sample — exploratory
 /// profiling for instances too large for exact verification. The estimate
 /// converges to [`Validation::support`] as `sample_size → n` (property
-/// tested); at `sample_size ≥ n` it is exact.
+/// tested); at `sample_size ≥ n` it is exact. An empty sample (or an empty
+/// relation) has nothing to refute and estimates 1.0.
 pub fn estimate_support(
     rel: &Relation,
     index: &SenseIndex,
@@ -249,15 +233,12 @@ pub fn estimate_support(
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
     let n = rel.n_rows();
-    if n == 0 {
+    let m = sample_size.min(n);
+    if m == 0 {
         return 1.0;
     }
-    if sample_size >= n {
-        let sp = StrippedPartition::of(rel, ofd.lhs);
-        return check_ofd_with_index(rel, index, ofd, &sp).support();
-    }
     // Deterministic pseudo-random sample without replacement: rank rows by
-    // a seeded hash and keep the smallest `sample_size`.
+    // a seeded hash and keep the smallest `m`.
     let mut ranked: Vec<(u64, u32)> = (0..n as u32)
         .map(|t| {
             let mut h = DefaultHasher::new();
@@ -265,33 +246,22 @@ pub fn estimate_support(
             (h.finish(), t)
         })
         .collect();
-    ranked.select_nth_unstable(sample_size - 1);
-    let mut rows: Vec<u32> = ranked[..sample_size].iter().map(|&(_, t)| t).collect();
-    rows.sort_unstable();
-
-    // Build the sampled sub-relation's antecedent partition directly.
-    let lhs: Vec<crate::schema::AttrId> = ofd.lhs.iter().collect();
+    ranked.select_nth_unstable(m - 1);
     let mut groups: FxHashMap<Vec<ValueId>, Vec<u32>> = FxHashMap::default();
-    for &t in &rows {
-        let key: Vec<ValueId> = lhs.iter().map(|&a| rel.value(t as usize, a)).collect();
+    for &(_, t) in &ranked[..m] {
+        let key: Vec<ValueId> = ofd.lhs.iter().map(|a| rel.value(t as usize, a)).collect();
         groups.entry(key).or_default().push(t);
     }
-    let col = rel.column(ofd.rhs);
-    let mut covered = 0usize;
-    let mut value_counts: FxHashMap<ValueId, u32> = FxHashMap::default();
-    let mut sense_counts: FxHashMap<SenseId, u32> = FxHashMap::default();
-    for class in groups.values() {
-        if class.len() < 2 {
-            covered += class.len();
-            continue;
-        }
-        let outcome = class_outcome(0, class, col, index, &mut value_counts, &mut sense_counts);
-        covered += outcome.covered;
-    }
-    covered as f64 / sample_size as f64
+    // The sample's antecedent partition; `covered_within` counts every row
+    // outside it as covered, so the sample's uncovered tuples are
+    // `n − covered`.
+    let sample = StrippedPartition::from_classes(n, groups.into_values());
+    let covered = covered_within(rel, index, ofd, &sample, n, &mut VerifyScratch::default())
+        .expect("budget n is never exceeded");
+    (m - (n - covered)) as f64 / m as f64
 }
 
-/// Dense counters reused across [`covered_within`] calls, in the
+/// Dense counters of the one per-class cover routine, in the
 /// [`crate::ProductScratch`] idiom: value counts indexed by [`ValueId`]
 /// (grown to the relation's pool), sense counts indexed by [`SenseId`]
 /// (grown on demand), and touched lists so that only the entries a class
@@ -301,51 +271,62 @@ pub fn estimate_support(
 pub struct VerifyScratch {
     value_counts: Vec<u32>,
     touched_values: Vec<ValueId>,
-    sense_counts: Vec<u32>,
-    touched_senses: Vec<u32>,
+    senses: SenseCounts,
 }
 
+/// The sense half of a [`VerifyScratch`].
+#[derive(Debug, Default)]
+struct SenseCounts {
+    counts: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+/// One class's best interpretation: the tuples it covers and, when the
+/// caller asks for it, the witness.
+type Cover = (u32, Option<Witness>);
+
 impl VerifyScratch {
-    /// Zeroes every touched counter. Every nonzero counter is on a touched
-    /// list (it is pushed before it is incremented), so this restores the
-    /// all-zero invariant even after an unwind mid-class.
-    fn reset(&mut self) {
+    /// Zeroes every touched counter and sizes the value counts to `rel`'s
+    /// pool. Every nonzero counter is on a touched list (it is pushed
+    /// before it is incremented), so this restores the all-zero invariant
+    /// even after an unwind mid-class; on a clean scratch it is a no-op.
+    fn prepare(&mut self, rel: &Relation) {
         for &v in &self.touched_values {
             self.value_counts[v.index()] = 0;
         }
         self.touched_values.clear();
-        for &s in &self.touched_senses {
-            self.sense_counts[s as usize] = 0;
+        self.senses.reset();
+        if self.value_counts.len() < rel.pool().len() {
+            self.value_counts.resize(rel.pool().len(), 0);
         }
-        self.touched_senses.clear();
     }
 
-    /// Uncovered tuples of one class under its best interpretation — the
-    /// arithmetic of `class_outcome` without its witness. `None` when the
-    /// class has an uncovered tuple and `budget_left` is 0. Leaves the
-    /// scratch zeroed.
-    fn class_uncovered(
+    /// The cover of one class, whose consequent values are read from
+    /// `col`; `None` when the class has an uncovered tuple and
+    /// `budget_left` is 0. Leaves the scratch zeroed.
+    fn class_cover<const WITNESS: bool>(
         &mut self,
         class: &[u32],
         col: &[ValueId],
         index: &SenseIndex,
         budget_left: usize,
-    ) -> Option<usize> {
-        // Opt-4 fast path: one distinct consequent value covers the class.
-        // Checked before counting, which a mixed class abandons at its
-        // first differing tuple.
+    ) -> Option<Cover> {
+        // The Opt-4 equality pass: one distinct consequent value covers the
+        // class. Checked before counting, which a mixed class abandons at
+        // its first differing tuple. An empty class (possible only through
+        // a degenerate caller) covers and violates nothing.
         let Some(&head) = class.first() else {
-            return Some(0);
+            return Some((0, None));
         };
         let first = col[head as usize];
         if class.iter().all(|&t| col[t as usize] == first) {
-            return Some(0);
+            let witness = WITNESS.then_some(Witness::Literal(first));
+            return Some((class.len() as u32, witness));
         }
         let VerifyScratch {
             value_counts,
             touched_values,
-            sense_counts,
-            touched_senses,
+            senses,
         } = self;
         for &t in class {
             let v = col[t as usize];
@@ -354,39 +335,105 @@ impl VerifyScratch {
             }
             value_counts[v.index()] += 1;
         }
-        let uncovered = 'class: {
-            let size = class.len() as u32;
-            let mut best_literal = 0u32;
-            let mut best_sense = 0u32;
-            for &v in touched_values.iter() {
-                let count = value_counts[v.index()];
+        let counts = touched_values.iter().map(|&v| (v, value_counts[v.index()]));
+        let cover = senses.cover::<WITNESS>(counts, class.len() as u32, index, budget_left);
+        for &v in touched_values.iter() {
+            value_counts[v.index()] = 0;
+        }
+        touched_values.clear();
+        cover
+    }
+
+    /// Whether one interpretation covers a whole class of `size` tuples
+    /// whose distinct consequent values have the counts `counts`: the
+    /// budget-0 routine of [`covered_within`], fed the counts that
+    /// [`crate::IncrementalChecker`] maintains.
+    pub(crate) fn covers(
+        &mut self,
+        counts: &FxHashMap<ValueId, u32>,
+        size: u32,
+        index: &SenseIndex,
+    ) -> bool {
+        if counts.len() <= 1 {
+            return true; // the Opt-4 equality pass
+        }
+        let counts = counts.iter().map(|(&v, &c)| (v, c));
+        self.senses.cover::<false>(counts, size, index, 0).is_some()
+    }
+}
+
+impl SenseCounts {
+    fn reset(&mut self) {
+        for &s in &self.touched {
+            self.counts[s as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// The sense-count step over a class of `size` tuples with at least
+    /// two distinct consequent values, each given once with its count:
+    ///
+    /// - the literal cover is the largest count; ties go to the smaller
+    ///   [`ValueId`];
+    /// - at budget 0, a value with no sense leaves a tuple uncovered, so
+    ///   the step gives `None`;
+    /// - a sense covers the tuples of every value it contains; ties go to
+    ///   the smaller [`SenseId`]. When no witness is asked, a sense that
+    ///   reaches `size` ends the count (`>=`: a duplicated sense id may
+    ///   count a tuple twice, which is also why covers are capped at
+    ///   `size`);
+    /// - the witness is the sense when it covers at least as many tuples
+    ///   as the literal, the literal otherwise.
+    ///
+    /// Leaves the sense counts zeroed.
+    fn cover<const WITNESS: bool>(
+        &mut self,
+        values: impl Iterator<Item = (ValueId, u32)>,
+        size: u32,
+        index: &SenseIndex,
+        budget_left: usize,
+    ) -> Option<Cover> {
+        let SenseCounts { counts, touched } = self;
+        let (mut best_literal, mut literal) = (0u32, ValueId::from_index(0));
+        let (mut best_sense, mut sense) = (0u32, SenseId::from_index(0));
+        let cover = 'class: {
+            for (v, count) in values {
+                if WITNESS && (count, Reverse(v)) > (best_literal, Reverse(literal)) {
+                    literal = v;
+                }
                 best_literal = best_literal.max(count);
                 let senses = index.senses(v);
                 if senses.is_empty() && budget_left == 0 {
-                    // No sense covers this value's tuples, so the class
-                    // keeps at least one uncovered tuple.
                     break 'class None;
                 }
                 for &s in senses {
-                    let s = s.index();
-                    if s >= sense_counts.len() {
-                        sense_counts.resize(s + 1, 0);
+                    let i = s.index();
+                    if i >= counts.len() {
+                        counts.resize(i + 1, 0);
                     }
-                    if sense_counts[s] == 0 {
-                        touched_senses.push(s as u32);
+                    if counts[i] == 0 {
+                        touched.push(i as u32);
                     }
-                    sense_counts[s] += count;
-                    best_sense = best_sense.max(sense_counts[s]);
+                    counts[i] += count;
+                    if WITNESS && (counts[i], Reverse(s)) > (best_sense, Reverse(sense)) {
+                        sense = s;
+                    }
+                    best_sense = best_sense.max(counts[i]);
                 }
-                // `>=`: a duplicated sense id may count a tuple twice.
-                if best_sense >= size {
-                    break 'class Some(0);
+                if !WITNESS && best_sense >= size {
+                    break 'class Some((size, None));
                 }
             }
-            (budget_left > 0).then(|| (size - best_sense.max(best_literal)) as usize)
+            let covered = best_sense.max(best_literal).min(size);
+            let witness = if best_sense >= best_literal {
+                Witness::Sense(sense)
+            } else {
+                Witness::Literal(literal)
+            };
+            (covered == size || budget_left > 0).then_some((covered, WITNESS.then_some(witness)))
         };
         self.reset();
-        uncovered
+        cover
     }
 }
 
@@ -396,10 +443,11 @@ impl VerifyScratch {
 ///
 /// `Some(c)` is returned exactly when the OFD's violating tuples are at
 /// most `max_uncovered`, and then `c` equals
-/// [`Validation::covered_tuples`] of [`check_ofd_with_index`]. A budget of
-/// 0 is the exact check (κ = 1); a budget of `n − ceil(κ·n)` decides
-/// support κ. No [`Validation`] or per-class vector is built, and counts go
-/// through `scratch`'s dense arrays instead of hash maps.
+/// [`Validation::covered_tuples`]. A budget of 0 is the exact check
+/// (κ = 1); a budget of `n − ceil(κ·n)` decides support κ. No
+/// [`Validation`] or per-class vector is built. The index's construction
+/// mode (synonym vs inheritance) determines the semantics; `ofd.kind` is
+/// not consulted.
 pub fn covered_within(
     rel: &Relation,
     index: &SenseIndex,
@@ -409,93 +457,17 @@ pub fn covered_within(
     scratch: &mut VerifyScratch,
 ) -> Option<usize> {
     let col = rel.column(ofd.rhs);
-    // A no-op on a clean scratch; guards reuse after a caught unwind.
-    scratch.reset();
-    if scratch.value_counts.len() < rel.pool().len() {
-        scratch.value_counts.resize(rel.pool().len(), 0);
-    }
+    scratch.prepare(rel);
     let mut uncovered = 0usize;
     for class in partition.classes() {
-        uncovered += scratch.class_uncovered(class, col, index, max_uncovered - uncovered)?;
+        let (covered, _) =
+            scratch.class_cover::<false>(class, col, index, max_uncovered - uncovered)?;
+        uncovered += class.len() - covered as usize;
         if uncovered > max_uncovered {
             return None;
         }
     }
     Some(rel.n_rows() - uncovered)
-}
-
-/// Core per-class routine: the maximum number of tuples whose consequent
-/// values are consistent under a single interpretation, and that witness.
-fn class_outcome(
-    class_index: usize,
-    class: &[u32],
-    col: &[ValueId],
-    index: &SenseIndex,
-    value_counts: &mut FxHashMap<ValueId, u32>,
-    sense_counts: &mut FxHashMap<SenseId, u32>,
-) -> ClassOutcome {
-    value_counts.clear();
-    for &t in class {
-        *value_counts.entry(col[t as usize]).or_insert(0) += 1;
-    }
-    let size = class.len();
-    let representative = class.first().copied().unwrap_or(0);
-
-    // Opt-4 fast path: a single distinct consequent value means the class
-    // satisfies the traditional FD, hence the OFD, with no ontology lookups.
-    if value_counts.len() == 1 {
-        if let Some((&v, _)) = value_counts.iter().next() {
-            return ClassOutcome {
-                class_index,
-                representative,
-                size,
-                covered: size,
-                witness: Some(Witness::Literal(v)),
-            };
-        }
-    }
-
-    // Best literal cover: tuples sharing one exact value are consistent even
-    // if the ontology does not know the value. An empty class (possible only
-    // through a degenerate caller) is vacuously satisfied rather than a
-    // panic.
-    let Some((&lit_value, &lit_count)) = value_counts
-        .iter()
-        .max_by_key(|&(v, c)| (*c, std::cmp::Reverse(*v)))
-    else {
-        return ClassOutcome {
-            class_index,
-            representative,
-            size,
-            covered: size,
-            witness: None,
-        };
-    };
-
-    // Sense frequencies: a sense covers a tuple when it contains the tuple's
-    // value.
-    sense_counts.clear();
-    for (&v, &c) in value_counts.iter() {
-        for &s in index.senses(v) {
-            *sense_counts.entry(s).or_insert(0) += c;
-        }
-    }
-    let best_sense = sense_counts
-        .iter()
-        .max_by_key(|&(s, c)| (*c, std::cmp::Reverse(*s)))
-        .map(|(&s, &c)| (s, c));
-
-    let (covered, witness) = match best_sense {
-        Some((s, c)) if c >= lit_count => (c, Witness::Sense(s)),
-        _ => (lit_count, Witness::Literal(lit_value)),
-    };
-    ClassOutcome {
-        class_index,
-        representative,
-        size,
-        covered: covered as usize,
-        witness: Some(witness),
-    }
 }
 
 #[cfg(test)]
@@ -710,6 +682,8 @@ mod tests {
             assert_eq!(a, b);
             assert!((0.0..=1.0).contains(&a));
         }
+        // An empty sample has nothing to refute.
+        assert_eq!(estimate_support(&rel, &index, &ofd, 0, 1), 1.0);
         // Empty relation edge case.
         let empty = Relation::from_rows(["A", "B"], std::iter::empty::<&[&str]>()).unwrap();
         let eidx = SenseIndex::synonym(&empty, &onto);
@@ -790,8 +764,10 @@ mod tests {
         let dirty = || VerifyScratch {
             value_counts: vec![3; rel.pool().len()],
             touched_values: (0..rel.pool().len()).map(ValueId::from_index).collect(),
-            sense_counts: vec![5; onto.len()],
-            touched_senses: (0..onto.len() as u32).collect(),
+            senses: SenseCounts {
+                counts: vec![5; onto.len()],
+                touched: (0..onto.len() as u32).collect(),
+            },
         };
         let kernel = |budget| covered_within(&rel, &index, &ofd, &sp, budget, &mut dirty());
         assert_eq!(kernel(1), Some(2));
@@ -830,27 +806,87 @@ mod tests {
         })
     }
 
+    /// The naive reference for one class: every candidate value and sense
+    /// counted from scratch over the class's tuples, the best by count with
+    /// ties to the smaller id, and a sense preferred to a literal it
+    /// matches. One distinct value is its own witness (Opt-4).
+    fn naive_cover(class: &[u32], col: &[ValueId], index: &SenseIndex) -> (usize, Witness) {
+        use std::cmp::Reverse;
+        let count =
+            |hit: &dyn Fn(ValueId) -> bool| class.iter().filter(|&&t| hit(col[t as usize])).count();
+        let mut values: Vec<ValueId> = class.iter().map(|&t| col[t as usize]).collect();
+        values.sort_unstable();
+        values.dedup();
+        if let [only] = values[..] {
+            return (class.len(), Witness::Literal(only));
+        }
+        let (lit_count, literal) = values
+            .iter()
+            .map(|&v| (count(&|w| w == v), v))
+            .max_by_key(|&(c, v)| (c, Reverse(v)))
+            .expect("a class has a value");
+        let mut senses: Vec<SenseId> = values
+            .iter()
+            .flat_map(|&v| index.senses(v).to_vec())
+            .collect();
+        senses.sort_unstable();
+        senses.dedup();
+        let best_sense = senses
+            .iter()
+            .map(|&s| (count(&|w| index.in_sense(w, s)), s))
+            .max_by_key(|&(c, s)| (c, Reverse(s)));
+        match best_sense {
+            Some((c, s)) if c >= lit_count => (c, Witness::Sense(s)),
+            _ => (lit_count, Witness::Literal(literal)),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The budgeted kernel against the full validation, for every
-        /// antecedent and every budget: `Some(covered_tuples)` iff the
-        /// violating tuples fit the budget. One scratch is reused across
-        /// every call, so failing candidates precede passing ones on it;
-        /// a fresh scratch must agree.
+        /// The one cover routine against the naive reference, under
+        /// synonym and θ = 1 inheritance semantics, for every antecedent
+        /// and consequent: `Validator`'s per-class cover and witness, the
+        /// streaming checker's counts-fed entry, and `covered_within` at
+        /// every budget — `Some(covered)` iff the uncovered tuples fit it.
+        /// One scratch is reused across every call, so failing candidates
+        /// precede passing ones on it; a fresh scratch must agree.
         #[test]
-        fn budgeted_kernel_matches_full_validation((rel, onto) in arb_instance()) {
+        fn kernel_matches_naive_reference((rel, onto) in arb_instance()) {
             let n = rel.n_rows();
+            let validator = Validator::new(&rel, &onto);
             let mut shared = VerifyScratch::default();
-            for index in [SenseIndex::synonym(&rel, &onto), SenseIndex::inheritance(&rel, &onto, 1)] {
+            for theta in [None, Some(1)] {
+                let index = match theta {
+                    None => SenseIndex::synonym(&rel, &onto),
+                    Some(t) => SenseIndex::inheritance(&rel, &onto, t),
+                };
                 for bits in 0..(1u64 << rel.schema().len()) {
                     let lhs = crate::schema::AttrSet::from_bits(bits);
                     let sp = StrippedPartition::of(&rel, lhs);
                     for a in rel.schema().attrs().filter(|&a| !lhs.contains(a)) {
-                        let ofd = Ofd::synonym(lhs, a);
-                        let v = check_ofd_with_index(&rel, &index, &ofd, &sp);
+                        let ofd = match theta {
+                            None => Ofd::synonym(lhs, a),
+                            Some(t) => Ofd::inheritance(lhs, a, t),
+                        };
+                        let col = rel.column(a);
+                        let v = validator.check_with_partition(&ofd, &sp);
+                        prop_assert_eq!(v.outcomes.len(), sp.class_count());
+                        let mut covered = n - sp.tuple_count();
+                        for (class, outcome) in sp.classes().zip(&v.outcomes) {
+                            let (c, w) = naive_cover(class, col, &index);
+                            prop_assert_eq!((outcome.covered, outcome.witness), (c, Some(w)));
+                            let mut counts: FxHashMap<ValueId, u32> = FxHashMap::default();
+                            for &t in class {
+                                *counts.entry(col[t as usize]).or_insert(0) += 1;
+                            }
+                            let whole = shared.covers(&counts, class.len() as u32, &index);
+                            prop_assert_eq!(whole, c == class.len());
+                            covered += c;
+                        }
+                        prop_assert_eq!(v.covered_tuples, covered);
                         for budget in 0..=n {
-                            let expect = (v.violating_tuples() <= budget).then_some(v.covered_tuples);
+                            let expect = (n - covered <= budget).then_some(covered);
                             let got = covered_within(&rel, &index, &ofd, &sp, budget, &mut shared);
                             let fresh = covered_within(
                                 &rel, &index, &ofd, &sp, budget, &mut VerifyScratch::default(),

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ofd_core::{
-    covered_within, support_threshold, AttrId, AttrSet, EvidenceSet, Ofd, OfdKind, ProductScratch,
-    Relation, Schema, SenseIndex, StrippedPartition, VerifyScratch,
+    covered_within, support_threshold, AttrId, AttrSet, EvidenceSet, Ofd, OfdKind, PairKernel,
+    ProductScratch, Relation, Schema, SenseIndex, StrippedPartition, VerifyScratch,
 };
 use ofd_logic::{implies, Dependency};
 use ofd_ontology::Ontology;
@@ -27,7 +27,6 @@ use ofd_ontology::Ontology;
 use crate::cache::PartitionCache;
 use crate::checkpoint;
 use crate::options::DiscoveryOptions;
-use crate::sample;
 use crate::stats::{DiscoveryStats, LevelStats};
 
 /// One minimal OFD emitted by discovery.
@@ -306,16 +305,14 @@ impl<'a> FastOfd<'a> {
             && self.opts.sample_rounds > 0)
             .then(|| {
                 let _span = obs.span("fastofd.sample");
-                let out =
-                    sample::gather_evidence(self.rel, &index, self.opts.sample_rounds, guard);
+                let (mut evidence, rounds_run) =
+                    PairKernel::new(self.rel, &index).gather(self.opts.sample_rounds, guard);
+                evidence.keep_maximal();
                 if obs.is_enabled() {
-                    obs.add("discovery.sample.rounds", out.rounds_run);
-                    obs.add(
-                        "discovery.sample.evidence_pairs",
-                        out.evidence.pair_count(),
-                    );
+                    obs.add("discovery.sample.rounds", rounds_run);
+                    obs.add("discovery.sample.evidence_pairs", evidence.pair_count());
                 }
-                out.evidence
+                evidence
             })
             .filter(|e| !e.is_empty());
         // The canonical Π* of every known superkey; no cache traffic.

@@ -36,7 +36,6 @@ mod cache;
 mod checkpoint;
 mod fastofd;
 mod options;
-mod sample;
 mod stats;
 
 pub use brute::{brute_force, brute_force_guarded};

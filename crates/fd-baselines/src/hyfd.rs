@@ -5,8 +5,9 @@
 //! Three phases, iterated to a fixpoint:
 //!
 //! 1. **Sampling** — compare a cheap subset of tuple pairs (sorted-
-//!    neighbourhood windows per attribute) and record their agree sets as
-//!    known non-FDs;
+//!    neighbourhood windows per attribute, on the schedule of FastOFD's
+//!    sampler, [`PairKernel::gather`]) and record their agree sets as known
+//!    non-FDs;
 //! 2. **Induction** — maintain, per consequent, the most-general antecedent
 //!    hypotheses consistent with every known non-FD (FDep-style
 //!    specialization);
@@ -19,7 +20,11 @@
 
 use ofd_core::{FxHashMap, FxHashSet};
 
-use ofd_core::{AttrId, AttrSet, ExecGuard, Fd, Obs, Partial, Relation, StrippedPartition, ValueId};
+use ofd_core::{
+    AttrId, AttrSet, EvidenceSet, ExecGuard, Fd, Obs, PairKernel, Partial, Relation, SenseIndex,
+    StrippedPartition, ValueId,
+};
+use ofd_ontology::Ontology;
 
 use crate::common::{record_interrupt, sort_fds};
 
@@ -28,8 +33,9 @@ pub fn discover(rel: &Relation) -> Vec<Fd> {
     discover_guarded(rel, &ExecGuard::unlimited()).value
 }
 
-/// [`discover`] with an execution guard, probed per sampled tuple, per
-/// induced non-FD and per validated hypothesis.
+/// [`discover`] with an execution guard, probed per sampled (window
+/// distance, attribute) block, per induced non-FD and per validated
+/// hypothesis.
 ///
 /// Only hypotheses that passed a full-data validation round are emitted on
 /// interrupt. Such a hypothesis `X → A` is a true minimal FD: it holds over
@@ -50,43 +56,26 @@ pub fn discover_guarded(rel: &Relation, guard: &ExecGuard) -> Partial<Vec<Fd>> {
 pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Vec<Fd>> {
     let schema = rel.schema();
     let n_attrs = schema.len();
-    let n = rel.n_rows();
     let all = schema.all();
     let mut node_visits: u64 = 0;
     let mut partition_builds: u64 = 0;
 
-    let agree_set_of = |t1: usize, t2: usize| -> AttrSet {
-        let mut s = AttrSet::empty();
-        for a in schema.attrs() {
-            if rel.value(t1, a) == rel.value(t2, a) {
-                s.insert(a);
-            }
-        }
-        s
-    };
-
-    // Phase 1: sampling via sorted-neighbourhood windows per attribute.
+    // Phase 1: sampling via sorted-neighbourhood windows per attribute; a
+    // window of 3 neighbours is 3 rounds of the schedule. Without an
+    // ontology every attribute a pair differs on is refuted, so the
+    // evidence holds, per consequent, the agree sets of its known non-FDs.
     // A truncated sample only makes hypotheses too general; phase 3's
     // full-data validation gates everything that is emitted.
-    let mut non_fds: FxHashSet<AttrSet> = FxHashSet::default();
     const WINDOW: usize = 3;
-    'sampling: for a in schema.attrs() {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&t| rel.value(t as usize, a));
-        for (i, &t1) in order.iter().enumerate() {
-            if guard.check().is_err() {
-                break 'sampling;
-            }
-            for &t2 in order.iter().skip(i + 1).take(WINDOW) {
-                non_fds.insert(agree_set_of(t1 as usize, t2 as usize));
-            }
-        }
-    }
-    non_fds.remove(&all); // duplicate tuples violate nothing
+    let index = SenseIndex::synonym(rel, &Ontology::empty());
+    let kernel = PairKernel::new(rel, &index);
+    let (mut evidence, _) = kernel.gather(WINDOW, guard);
 
     // Phase 2: induction — per consequent, most-general hypotheses.
+    // `induced[a]` counts the witnesses of `a` already applied.
     let mut covers: Vec<Vec<AttrSet>> = (0..n_attrs).map(|_| vec![AttrSet::empty()]).collect();
-    let specialize = |cover: &mut Vec<AttrSet>, s: AttrSet, a: AttrId, universe: AttrSet| {
+    let mut induced = vec![0usize; n_attrs];
+    let specialize = |cover: &mut Vec<AttrSet>, s: AttrSet, a: AttrId| {
         let mut next: Vec<AttrSet> = Vec::new();
         let mut to_fix: Vec<AttrSet> = Vec::new();
         for &x in cover.iter() {
@@ -97,10 +86,7 @@ pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Ve
             }
         }
         for x in to_fix {
-            for b in universe.minus(s).iter() {
-                if b == a {
-                    continue;
-                }
+            for b in all.without(a).minus(s).iter() {
                 let candidate = x.with(b);
                 if !next.iter().any(|y| y.is_subset(candidate)) {
                     next.retain(|y| !candidate.is_subset(*y));
@@ -110,20 +96,18 @@ pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Ve
         }
         *cover = next;
     };
-    let apply_non_fd = |covers: &mut Vec<Vec<AttrSet>>, s: AttrSet| {
+    let induce = |covers: &mut [Vec<AttrSet>], induced: &mut [usize], evidence: &EvidenceSet| {
         for a in schema.attrs() {
-            if !s.contains(a) {
-                let universe = all.without(a);
-                specialize(&mut covers[a.index()], s, a, universe);
+            for s in evidence.witnesses(a).skip(induced[a.index()]) {
+                if guard.check().is_err() {
+                    return;
+                }
+                specialize(&mut covers[a.index()], s, a);
+                induced[a.index()] += 1;
             }
         }
     };
-    for &s in &non_fds {
-        if guard.check().is_err() {
-            break;
-        }
-        apply_non_fd(&mut covers, s);
-    }
+    induce(&mut covers, &mut induced, &evidence);
 
     // Phase 3: validate hypotheses against the full data; feed violating
     // pairs back. Partition results are cached across rounds. `validated`
@@ -133,7 +117,7 @@ pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Ve
         FxHashMap::default();
     let mut validated: Vec<FxHashSet<u64>> = (0..n_attrs).map(|_| FxHashSet::default()).collect();
     loop {
-        let mut new_non_fds: Vec<AttrSet> = Vec::new();
+        let known_pairs = evidence.pair_count();
         'validation: for a in schema.attrs() {
             let col = rel.column(a);
             for &x in &covers[a.index()] {
@@ -146,20 +130,16 @@ pub fn discover_with(rel: &Relation, guard: &ExecGuard, obs: &Obs) -> Partial<Ve
                     StrippedPartition::of(rel, x)
                 });
                 if let Some((t1, t2)) = violating_pair(sp, col) {
-                    new_non_fds.push(agree_set_of(t1 as usize, t2 as usize));
+                    kernel.observe(&mut evidence, t1 as usize, t2 as usize);
                 } else {
                     validated[a.index()].insert(x.bits());
                 }
             }
         }
-        if guard.is_tripped() || new_non_fds.is_empty() {
+        if guard.is_tripped() || evidence.pair_count() == known_pairs {
             break;
         }
-        for s in new_non_fds {
-            if non_fds.insert(s) {
-                apply_non_fd(&mut covers, s);
-            }
-        }
+        induce(&mut covers, &mut induced, &evidence);
     }
 
     let mut fds: Vec<Fd> = Vec::new();
