@@ -176,8 +176,10 @@ impl Partition {
         self.clone().into_stripped()
     }
 
-    /// Drops singleton classes in place, yielding Π*_X without copying the
-    /// retained tuple data to a fresh allocation.
+    /// Drops singleton classes in place, yielding Π*_X. Both arrays are
+    /// shrunk to the retained tuples and classes, so
+    /// [`StrippedPartition::approx_bytes`] charges what Π*_X holds, not the
+    /// `n` slots of Π_X (a superkey's Π* holds nothing).
     pub fn into_stripped(self) -> StrippedPartition {
         let Partition {
             mut tuples,
@@ -195,6 +197,8 @@ impl Partition {
             }
         }
         tuples.truncate(w);
+        tuples.shrink_to_fit();
+        kept.shrink_to_fit();
         StrippedPartition {
             tuples,
             offsets: kept,
@@ -609,10 +613,19 @@ mod tests {
 
     #[test]
     fn approx_bytes_tracks_csr_arrays() {
-        let (_, p) = cc_partition();
+        // Exact both ways: the arrays hold the retained tuples and offsets
+        // and nothing more, so a stripped singleton (CA) or a superkey's
+        // n stripped rows cost no bytes.
+        let rel = table1();
         let base = std::mem::size_of::<StrippedPartition>();
-        assert!(p.approx_bytes() >= base + (p.tuple_count() + p.class_count() + 1) * 4);
-        assert!(StrippedPartition::empty(100).approx_bytes() >= base);
+        let csr_bytes = |p: &StrippedPartition| base + (p.tuple_count() + p.class_count() + 1) * 4;
+        let (_, cc) = cc_partition();
+        let key = StrippedPartition::of(&rel, rel.schema().all());
+        assert!(key.is_superkey());
+        let cc_symp = StrippedPartition::of(&rel, rel.schema().set(["CC", "SYMP"]).unwrap());
+        for p in [cc, key, cc_symp, StrippedPartition::empty(100)] {
+            assert_eq!(p.approx_bytes(), csr_bytes(&p), "{p:?}");
+        }
     }
 
     mod properties {

@@ -125,16 +125,26 @@ impl Relation {
                 "relation is at the {MAX_ROWS}-row cap (tuple ids are u32)"
             )));
         }
-        let ids: Vec<ValueId> = values.into_iter().map(|v| self.pool.intern(v)).collect();
-        if ids.len() != self.schema.len() {
+        // Every value is interned, then pushed straight onto its column; a
+        // ragged row is popped off the columns it reached.
+        let width = self.schema.len();
+        let mut got = 0;
+        for v in values {
+            let id = self.pool.intern(v);
+            if let Some(col) = self.columns.get_mut(got) {
+                col.push(id);
+            }
+            got += 1;
+        }
+        if got != width {
+            for col in &mut self.columns[..got.min(width)] {
+                col.pop();
+            }
             return Err(CoreError::ArityMismatch {
                 row: self.rows,
-                expected: self.schema.len(),
-                got: ids.len(),
+                expected: width,
+                got,
             });
-        }
-        for (col, id) in self.columns.iter_mut().zip(ids) {
-            col.push(id);
         }
         self.rows += 1;
         Ok(self.rows - 1)
@@ -325,10 +335,20 @@ mod tests {
         let mut b = Relation::builder(Schema::new(["A", "B"]).unwrap());
         assert!(matches!(
             b.push_row(["only one"]),
-            Err(CoreError::ArityMismatch { .. })
+            Err(CoreError::ArityMismatch { row: 0, expected: 2, got: 1 })
+        ));
+        assert!(matches!(
+            b.push_row(["a", "b", "c"]),
+            Err(CoreError::ArityMismatch { row: 0, expected: 2, got: 3 })
         ));
         b.push_row(["x", "y"]).unwrap();
         assert_eq!(b.n_rows(), 1);
+        // A rejected row leaves no cell behind on any column.
+        let r = b.finish();
+        for a in r.schema().attrs() {
+            assert_eq!(r.column(a).len(), 1);
+        }
+        assert_eq!(r.row_texts(0), ["x", "y"]);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! uncovered tuples within a support budget, and
 //! [`crate::IncrementalChecker`] feeds it the value counts it maintains.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -115,14 +116,15 @@ impl Validation {
 
 /// Verifies OFDs and FDs against one relation and ontology.
 ///
-/// The synonym-mode [`SenseIndex`] is built eagerly; inheritance-mode
-/// indexes are built per `θ` on first use and cached. Every check counts
-/// through one [`VerifyScratch`].
+/// The synonym-mode [`SenseIndex`] is built eagerly or borrowed
+/// ([`Validator::with_index`]); inheritance-mode indexes are built per `θ`
+/// on first use and cached. Every check counts through one
+/// [`VerifyScratch`].
 #[derive(Debug)]
 pub struct Validator<'a> {
     rel: &'a Relation,
     onto: &'a Ontology,
-    syn_index: SenseIndex,
+    syn_index: Cow<'a, SenseIndex>,
     inh_indexes: RefCell<HashMap<usize, SenseIndex>>,
     scratch: RefCell<VerifyScratch>,
 }
@@ -130,10 +132,29 @@ pub struct Validator<'a> {
 impl<'a> Validator<'a> {
     /// Creates a validator for `rel` against `onto`.
     pub fn new(rel: &'a Relation, onto: &'a Ontology) -> Validator<'a> {
+        Validator::build(rel, onto, Cow::Owned(SenseIndex::synonym(rel, onto)))
+    }
+
+    /// A validator that borrows `index`, which must be
+    /// [`SenseIndex::synonym`] of `rel` and `onto`: a caller that validates
+    /// one immutable instance many times builds it once.
+    pub fn with_index(
+        rel: &'a Relation,
+        onto: &'a Ontology,
+        index: &'a SenseIndex,
+    ) -> Validator<'a> {
+        Validator::build(rel, onto, Cow::Borrowed(index))
+    }
+
+    fn build(
+        rel: &'a Relation,
+        onto: &'a Ontology,
+        syn_index: Cow<'a, SenseIndex>,
+    ) -> Validator<'a> {
         Validator {
             rel,
             onto,
-            syn_index: SenseIndex::synonym(rel, onto),
+            syn_index,
             inh_indexes: RefCell::new(HashMap::new()),
             scratch: RefCell::new(VerifyScratch::default()),
         }

@@ -1,6 +1,10 @@
-//! Memory-budgeted cache of stripped partitions Π*_X for the lattice.
+//! Memory-budgeted cache of stripped partitions Π*_X.
 //!
-//! It is FastOFD's one source of partitions. Lattice nodes own none: each
+//! It has two users. It is FastOFD's one source of partitions, and the
+//! service layer keeps one per catalog version, so a served validate
+//! against an immutable `name@version` reuses the antecedent partitions
+//! earlier validates made (there nothing is pinned, and the budget is the
+//! version's own column bytes). Lattice nodes own no partitions: each
 //! antecedent Π*_X that a data decision reads is produced through
 //! [`PartitionCache::produce`] when it is first read, which reuses a
 //! resident copy when one exists and otherwise computes the partition from
@@ -12,8 +16,9 @@
 //! so the budget can never change Σ.
 //!
 //! Byte accounting uses [`StrippedPartition::approx_bytes`] (exact for the
-//! CSR arrays). Insertions evict least-recently-used unpinned entries until
-//! the resident total fits the budget; level-0/1 partitions are pinned —
+//! CSR arrays). An insertion first evicts least-recently-used unpinned
+//! entries until the new partition fits the budget, so unpinned entries
+//! never take the resident total past it; level-0/1 partitions are pinned —
 //! they are the universal fallback operands and together cost at most one
 //! `u32` per cell of the relation. A budget of 0 keeps only the pinned
 //! partitions. Outstanding [`Arc`] references keep evicted partitions
@@ -46,6 +51,7 @@ pub struct CacheStats {
     pub products: u64,
 }
 
+#[derive(Debug)]
 struct Entry {
     part: Arc<StrippedPartition>,
     bytes: u64,
@@ -54,7 +60,8 @@ struct Entry {
 }
 
 /// LRU partition cache keyed by antecedent attribute-set bits.
-pub(crate) struct PartitionCache {
+#[derive(Debug)]
+pub struct PartitionCache {
     entries: FxHashMap<u64, Entry>,
     budget_bytes: u64,
     resident_bytes: u64,
@@ -67,9 +74,16 @@ impl PartitionCache {
     /// A cache holding at most `budget_mib` MiB of unpinned partitions
     /// (a budget past `u64::MAX` bytes saturates), recording into `obs`.
     pub(crate) fn new(budget_mib: usize, obs: Obs) -> PartitionCache {
+        PartitionCache::with_budget_bytes((budget_mib as u64).saturating_mul(1 << 20), obs)
+    }
+
+    /// A cache holding at most `budget_bytes` of unpinned partitions,
+    /// recording into `obs`. With nothing pinned, the resident bytes never
+    /// exceed the budget.
+    pub fn with_budget_bytes(budget_bytes: u64, obs: Obs) -> PartitionCache {
         PartitionCache {
             entries: FxHashMap::default(),
-            budget_bytes: (budget_mib as u64).saturating_mul(1 << 20),
+            budget_bytes,
             resident_bytes: 0,
             clock: 0,
             stats: CacheStats::default(),
@@ -88,9 +102,11 @@ impl PartitionCache {
         self.entries.get(&bits).map(|e| &e.part)
     }
 
-    /// Inserts a computed partition, evicting LRU unpinned entries until the
-    /// resident total fits the budget again. Pinned entries are never
-    /// evicted; an unpinned partition larger than the whole budget is not
+    /// Inserts a computed partition, first evicting LRU unpinned entries
+    /// until it fits the budget, so unpinned entries never take the
+    /// resident total past it. Pinned entries are never evicted and always
+    /// inserted; an unpinned partition that the pinned ones leave no room
+    /// for (one larger than the whole budget, in particular) is not
     /// retained at all.
     pub(crate) fn insert(
         &mut self,
@@ -102,8 +118,15 @@ impl PartitionCache {
         if !pinned && bytes > self.budget_bytes {
             return;
         }
+        if let Some(old) = self.entries.remove(&bits) {
+            self.resident_bytes -= old.bytes;
+        }
+        self.evict_to(self.budget_bytes.saturating_sub(bytes));
+        if !pinned && self.resident_bytes + bytes > self.budget_bytes {
+            return;
+        }
         let now = self.tick();
-        if let Some(old) = self.entries.insert(
+        self.entries.insert(
             bits,
             Entry {
                 part,
@@ -111,16 +134,15 @@ impl PartitionCache {
                 last_used: now,
                 pinned,
             },
-        ) {
-            self.resident_bytes -= old.bytes;
-        }
+        );
         self.resident_bytes += bytes;
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.resident_bytes);
-        self.evict_to_budget();
     }
 
-    fn evict_to_budget(&mut self) {
-        while self.resident_bytes > self.budget_bytes {
+    /// Evicts LRU unpinned entries until at most `limit` bytes are resident
+    /// or only pinned entries are left.
+    fn evict_to(&mut self, limit: u64) {
+        while self.resident_bytes > limit {
             let victim = self
                 .entries
                 .iter()
@@ -138,8 +160,10 @@ impl PartitionCache {
 
     /// Produces Π*_X, preferring (in order): the resident copy, a product of
     /// the two cheapest resident operands, a direct computation. The result
-    /// is (re-)inserted unpinned unless already resident.
-    pub(crate) fn produce(
+    /// is (re-)inserted unpinned unless already resident. Every route yields
+    /// the canonical `StrippedPartition::of(rel, attrs)`; `rel` must be the
+    /// relation every resident partition was made from.
+    pub fn produce(
         &mut self,
         rel: &Relation,
         attrs: AttrSet,
@@ -242,7 +266,8 @@ impl PartitionCache {
         acc
     }
 
-    pub(crate) fn stats(&self) -> CacheStats {
+    /// Hits, misses, products and bytes so far.
+    pub fn stats(&self) -> CacheStats {
         CacheStats {
             resident_bytes: self.resident_bytes,
             ..self.stats
@@ -400,10 +425,36 @@ mod tests {
         let _ = cache.produce(&rel, x, &mut scratch); // x newer than y
         // Shrink the budget to force eviction of exactly the colder entry.
         cache.budget_bytes = cache.resident_bytes - 1;
-        cache.evict_to_budget();
+        cache.evict_to(cache.budget_bytes);
         assert!(cache.peek(x.bits()).is_some(), "recently used survives");
         assert!(cache.peek(y.bits()).is_none(), "LRU entry evicted");
         assert!(cache.stats().evicted_bytes > 0);
+    }
+
+    #[test]
+    fn an_unpinned_cache_never_holds_more_than_its_budget() {
+        // Nothing pinned, as a catalog version keeps it: the resident bytes
+        // stay within the budget at their peak, not only after eviction.
+        let rel = table1();
+        let cc = StrippedPartition::of(&rel, attr_set(&rel, &["CC"]));
+        let budget = 2 * cc.approx_bytes() as u64;
+        let mut cache = PartitionCache::with_budget_bytes(budget, Obs::disabled());
+        let mut scratch = ProductScratch::default();
+        for names in [
+            &["CC"][..],
+            &["SYMP"],
+            &["CC", "SYMP"],
+            &["DIAG"],
+            &["CC"],
+            &["CC", "DIAG"],
+        ] {
+            let x = attr_set(&rel, names);
+            assert_eq!(*cache.produce(&rel, x, &mut scratch), StrippedPartition::of(&rel, x));
+            assert!(cache.stats().resident_bytes <= budget);
+        }
+        let s = cache.stats();
+        assert!(s.evicted_bytes > 0, "{s:?}");
+        assert!(s.peak_resident_bytes <= budget, "{s:?}");
     }
 
     #[test]

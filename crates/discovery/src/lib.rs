@@ -39,7 +39,7 @@ mod options;
 mod stats;
 
 pub use brute::{brute_force, brute_force_guarded};
-pub use cache::CacheStats;
+pub use cache::{CacheStats, PartitionCache};
 pub use checkpoint::CheckpointOptions;
 pub use fastofd::{DiscoveredOfd, Discovery, FastOfd};
 pub use options::{DiscoveryOptions, DEFAULT_PARTITION_CACHE_MIB, DEFAULT_SAMPLE_ROUNDS};

@@ -28,10 +28,14 @@
 //! the common case.
 
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use ofd_core::{fnv1a64, FaultPlan, Fingerprint, FxHashMap, Obs, Relation, SnapshotStore};
+use ofd_core::{
+    fnv1a64, AttrSet, FaultPlan, Fingerprint, FxHashMap, Obs, ProductScratch, Relation,
+    SenseIndex, SnapshotStore, StrippedPartition,
+};
 use ofd_datagen::csv;
+use ofd_discovery::PartitionCache;
 use ofd_ontology::{parse_ontology, Ontology};
 use serde_json::{json, Value};
 
@@ -59,9 +63,44 @@ pub struct CatalogEntry {
     /// [`keyed_content`] state per key label, computed on first use: a
     /// version's texts never change, so no request re-hashes them.
     keyed: Mutex<FxHashMap<&'static str, Fingerprint>>,
+    /// The synonym [`SenseIndex`] of this version, built by its first
+    /// validate.
+    sense_index: OnceLock<SenseIndex>,
+    /// The antecedent partitions Π*_X this version's validates read, in an
+    /// LRU cache bounded by the version's own column bytes (`n·|R|·4`).
+    partitions: Mutex<PartitionCache>,
 }
 
 impl CatalogEntry {
+    /// The synonym sense index of this version, built on first use: the
+    /// version's relation and ontology never change, so no validate
+    /// rebuilds it.
+    pub(crate) fn sense_index(&self) -> &SenseIndex {
+        self.sense_index
+            .get_or_init(|| SenseIndex::synonym(&self.relation, &self.ontology_parsed))
+    }
+
+    /// Π*_X of this version, from its partition cache, and whether the
+    /// cache already held it. Concurrent callers take turns; a caller that
+    /// unwound while holding the cache does not poison it for the next.
+    pub(crate) fn partition(&self, lhs: AttrSet) -> (Arc<StrippedPartition>, bool) {
+        let mut cache = self.partitions.lock().unwrap_or_else(|poisoned| {
+            // The cache only ever inserts whole partitions.
+            self.partitions.clear_poison();
+            poisoned.into_inner()
+        });
+        let hits = cache.stats().hits;
+        let part = cache.produce(&self.relation, lhs, &mut ProductScratch::default());
+        let hit = cache.stats().hits > hits;
+        (part, hit)
+    }
+
+    /// The partition cache's counters and bytes.
+    #[cfg(test)]
+    pub(crate) fn partition_stats(&self) -> ofd_discovery::CacheStats {
+        self.partitions.lock().expect("partition lock").stats()
+    }
+
     /// The fingerprint state after `(label, csv, ontology)` — exactly
     /// [`keyed_content`] over this entry's texts, hashed once per label.
     pub(crate) fn keyed(&self, label: &'static str) -> Fingerprint {
@@ -75,6 +114,14 @@ impl CatalogEntry {
             .insert(label, fp.clone());
         fp
     }
+}
+
+/// The column bytes of `rel` (`n·|R|·4`): the most partition bytes a
+/// catalog version of it keeps.
+pub(crate) fn column_bytes(rel: &Relation) -> u64 {
+    (rel.n_rows() as u64)
+        .saturating_mul(rel.n_attrs() as u64)
+        .saturating_mul(4)
 }
 
 /// Why a catalog operation failed, split the same way job errors are:
@@ -356,6 +403,7 @@ impl Catalog {
             parse_ontology(onto_text)
                 .map_err(|e| CatalogError::BadRequest(format!("ontology: {e}")))?
         };
+        let budget = column_bytes(&relation);
         let entry = Arc::new(CatalogEntry {
             name: name.to_owned(),
             version,
@@ -365,6 +413,8 @@ impl Catalog {
             relation,
             ontology_parsed,
             keyed: Mutex::new(FxHashMap::default()),
+            sense_index: OnceLock::new(),
+            partitions: Mutex::new(PartitionCache::with_budget_bytes(budget, Obs::disabled())),
         });
         if intern {
             self.interned
@@ -836,6 +886,37 @@ mod tests {
             c.resolve("ok@notanumber"),
             Err(CatalogError::BadRequest(_))
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_partitions_are_canonical_and_survive_a_poisoned_lock() {
+        let dir = tmp("partitions");
+        let c = catalog(&dir);
+        let (csv_text, onto_text) = sample();
+        let entry = c.put("parts", &csv_text, &onto_text).expect("put");
+        let schema = entry.relation.schema();
+        let sets: Vec<AttrSet> = (0..1u64 << schema.len()).map(AttrSet::from_bits).collect();
+        for &x in &sets {
+            let (part, hit) = entry.partition(x);
+            assert!(!hit);
+            assert_eq!(*part, StrippedPartition::of(&entry.relation, x));
+        }
+        // A request that unwinds while it holds the cache poisons the lock;
+        // later requests still get canonical partitions.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = entry.partitions.lock().expect("partition lock");
+            panic!("unwinding while the partition cache is held");
+        }));
+        assert!(unwound.is_err() && entry.partitions.is_poisoned());
+        for &x in sets.iter().rev() {
+            let (part, _) = entry.partition(x);
+            assert_eq!(*part, StrippedPartition::of(&entry.relation, x));
+        }
+        assert!(!entry.partitions.is_poisoned());
+        let stats = entry.partition_stats();
+        assert!(stats.peak_resident_bytes <= column_bytes(&entry.relation), "{stats:?}");
+        assert!(std::ptr::eq(entry.sense_index(), entry.sense_index()), "built once");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

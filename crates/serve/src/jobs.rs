@@ -516,7 +516,12 @@ fn validate(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
     let (rel, onto) = inputs.parse()?;
     let (rel, onto) = (rel.as_ref(), onto.as_ref());
     let ofds = parse_ofds(body, rel.schema())?;
-    let validator = Validator::new(rel, onto);
+    // A catalog version keeps its sense index and antecedent partitions
+    // across validates; inline inputs build both per request.
+    let validator = match &inputs {
+        Inputs::Cataloged(e) => Validator::with_index(rel, onto, e.sense_index()),
+        Inputs::Inline { .. } => Validator::new(rel, onto),
+    };
     let mut results = Vec::with_capacity(ofds.len());
     let mut all_satisfied = true;
     let mut outcome = JobOutcome::default();
@@ -528,7 +533,18 @@ fn validate(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
             outcome.interrupt = Some(i);
             break;
         }
-        let v = validator.check(ofd);
+        let v = match &inputs {
+            Inputs::Cataloged(e) => {
+                let (partition, hit) = e.partition(ofd.lhs);
+                ctx.obs.inc(if hit {
+                    "serve.catalog.partition_hit"
+                } else {
+                    "serve.catalog.partition_miss"
+                });
+                validator.check_with_partition(ofd, &partition)
+            }
+            Inputs::Inline { .. } => validator.check(ofd),
+        };
         all_satisfied &= v.satisfied();
         results.push(json!({
             "ofd": ofd.display(rel.schema()),
@@ -796,6 +812,175 @@ mod tests {
         let err = discover(&json!({"dataset": "flights", "csv": "A\n1\n"}), &ctx())
             .expect_err("ambiguous inputs");
         assert!(err.0.contains("pick one"), "actual: {}", err.0);
+    }
+
+    /// A context whose catalog holds `csv_text` and `onto_text` as
+    /// `memo@1`, counting into an enabled [`Obs`].
+    fn cataloged(tag: &str, csv_text: &str, onto_text: &str) -> (JobContext, PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "ofd-serve-memo-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let catalog = Catalog::open(dir.join("catalog"), FaultPlan::none(), Obs::disabled());
+        catalog.put("memo", csv_text, onto_text).expect("put");
+        let mut c = ctx();
+        c.obs = Obs::enabled();
+        c.catalog = Some(Arc::new(catalog));
+        (c, dir)
+    }
+
+    /// A dirty clinical instance (so some OFDs fail) and Σ specs over it:
+    /// the planted OFDs, then OFDs that reuse their antecedents with other
+    /// consequents.
+    fn memo_instance() -> (String, String, Vec<String>) {
+        let mut ds = ofd_datagen::clinical(&ofd_datagen::PresetConfig {
+            n_rows: 400,
+            n_attrs: 7,
+            n_ofds: 4,
+            seed: 5,
+            ..ofd_datagen::PresetConfig::default()
+        });
+        ds.inject_errors(0.05, 5);
+        let schema = ds.relation.schema();
+        let spec = |lhs: &ofd_core::AttrSet, rhs| {
+            let names: Vec<&str> = lhs.iter().map(|a| schema.name(a)).collect();
+            format!("{}->{}", names.join(","), schema.name(rhs))
+        };
+        let mut specs: Vec<String> = ds.ofds.iter().map(|o| spec(&o.lhs, o.rhs)).collect();
+        for o in &ds.ofds {
+            for a in schema.attrs().filter(|&a| !o.lhs.contains(a) && a != o.rhs).take(2) {
+                specs.push(spec(&o.lhs, a));
+            }
+        }
+        (
+            csv::write_csv(&ds.relation),
+            ofd_ontology::write_ontology(&ds.ontology),
+            specs,
+        )
+    }
+
+    /// Validates `specs` (with `theta` when given) against `memo@1` and
+    /// asserts the reply's results equal an uncached `Validator`'s: the
+    /// same request shipped inline.
+    fn assert_matches_uncached(
+        c: &JobContext,
+        csv_text: &str,
+        onto_text: &str,
+        specs: &[String],
+        theta: Option<u64>,
+    ) {
+        let with = |mut body: Value| {
+            if let Value::Object(fields) = &mut body {
+                fields.push(("ofds".into(), json!(specs.to_vec())));
+                if let Some(t) = theta {
+                    fields.push(("theta".into(), json!(t)));
+                }
+            }
+            body
+        };
+        let (cached, _) = validate(&with(json!({"dataset": "memo@1"})), c).expect("cataloged");
+        let inline_body = with(json!({"csv": csv_text, "ontology": onto_text}));
+        let (inline, _) = validate(&inline_body, &ctx()).expect("inline");
+        for key in ["status", "results", "all_satisfied"] {
+            assert_eq!(cached.get(key), inline.get(key), "{key} of {specs:?} at θ {theta:?}");
+        }
+        assert_eq!(cached.get("dataset").and_then(Value::as_str), Some("memo@1"));
+    }
+
+    fn partition_counts(c: &JobContext) -> (Option<u64>, Option<u64>) {
+        let m = c.obs.snapshot();
+        (
+            m.counter("serve.catalog.partition_hit"),
+            m.counter("serve.catalog.partition_miss"),
+        )
+    }
+
+    #[test]
+    fn cataloged_validates_match_an_uncached_validator() {
+        let (csv_text, onto_text, specs) = memo_instance();
+        let (planted, shared) = specs.split_at(4);
+        let (c, dir) = cataloged("match", &csv_text, &onto_text);
+        // Repeated requests: the first fills the memo, the rest read it.
+        for _ in 0..3 {
+            assert_matches_uncached(&c, &csv_text, &onto_text, planted, None);
+        }
+        // A different Σ over the same antecedents, then θ (inheritance)
+        // OFDs, whose partitions are the synonym ones.
+        assert_matches_uncached(&c, &csv_text, &onto_text, shared, None);
+        for theta in [0, 1, 2] {
+            assert_matches_uncached(&c, &csv_text, &onto_text, &specs, Some(theta));
+        }
+        let antecedents: std::collections::HashSet<&str> =
+            specs.iter().map(|s| s.split_once("->").expect("spec").0).collect();
+        let lookups = (3 * planted.len() + shared.len() + 3 * specs.len()) as u64;
+        let misses = antecedents.len() as u64;
+        assert_eq!(partition_counts(&c), (Some(lookups - misses), Some(misses)));
+        // The counts are a function of the request sequence alone.
+        let (again, dir2) = cataloged("match-again", &csv_text, &onto_text);
+        for _ in 0..3 {
+            assert_matches_uncached(&again, &csv_text, &onto_text, planted, None);
+        }
+        assert_matches_uncached(&again, &csv_text, &onto_text, shared, None);
+        for theta in [0, 1, 2] {
+            assert_matches_uncached(&again, &csv_text, &onto_text, &specs, Some(theta));
+        }
+        assert_eq!(partition_counts(&again), partition_counts(&c));
+        // Inline validates never touch the memo's counters.
+        let inline = json!({"csv": &csv_text, "ontology": &onto_text, "ofds": planted.to_vec()});
+        validate(&inline, &again).expect("inline");
+        assert_eq!(partition_counts(&again), partition_counts(&c));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn concurrent_validates_of_one_entry_match_an_uncached_validator() {
+        let (csv_text, onto_text, specs) = memo_instance();
+        let (c, dir) = cataloged("concurrent", &csv_text, &onto_text);
+        let sigmas: Vec<&[String]> = vec![&specs[..4], &specs[4..], &specs[2..7], &specs];
+        std::thread::scope(|scope| {
+            for (i, sigma) in sigmas.iter().enumerate() {
+                let (c, csv_text, onto_text) = (&c, &csv_text, &onto_text);
+                scope.spawn(move || {
+                    for round in 0..4 {
+                        let theta = (round % 2 == 1).then_some(i as u64 % 2);
+                        assert_matches_uncached(c, csv_text, onto_text, sigma, theta);
+                    }
+                });
+            }
+        });
+        let (hits, misses) = partition_counts(&c);
+        let lookups: usize = sigmas.iter().map(|s| 4 * s.len()).sum();
+        assert_eq!(hits.unwrap_or(0) + misses.unwrap_or(0), lookups as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_entry_whose_budget_forces_eviction_replies_the_same() {
+        // 2 columns × 200 rows: a 1,600-byte budget, and Π*_A and Π*_B
+        // hold every row each, so the two antecedents evict each other.
+        let mut text = String::from("A,B\n");
+        for i in 0..200 {
+            text.push_str(&format!("a{},b{}\n", i % 10, i % 7));
+        }
+        let (c, dir) = cataloged("evict", &text, "");
+        let entry = c.catalog.as_ref().expect("catalog").resolve("memo@1").expect("entry");
+        let budget = crate::catalog::column_bytes(&entry.relation);
+        assert_eq!(budget, 1600);
+        for _ in 0..3 {
+            for spec in ["A->B", "B->A"] {
+                assert_matches_uncached(&c, &text, "", &[spec.to_owned()], None);
+            }
+            let both = ["A->B".to_owned(), "B->A".to_owned()];
+            assert_matches_uncached(&c, &text, "", &both, Some(1));
+        }
+        let stats = entry.partition_stats();
+        assert!(stats.evicted_bytes > 0, "{stats:?}");
+        assert!(stats.peak_resident_bytes <= budget, "{stats:?}");
+        assert_eq!(partition_counts(&c), (None, Some(12)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

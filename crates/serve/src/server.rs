@@ -116,7 +116,7 @@ impl Default for ServeConfig {
 
 /// The `serve.*` counters pinned by the metrics schema test; touched at
 /// bind time so they are present (zero) in every `/metrics` document.
-pub const SERVE_COUNTERS: [&str; 19] = [
+pub const SERVE_COUNTERS: [&str; 21] = [
     "serve.requests",
     "serve.admitted",
     "serve.shed",
@@ -133,6 +133,8 @@ pub const SERVE_COUNTERS: [&str; 19] = [
     "serve.catalog.miss",
     "serve.catalog.peer_fetch",
     "serve.catalog.read_repaired",
+    "serve.catalog.partition_hit",
+    "serve.catalog.partition_miss",
     "serve.ship.served",
     "serve.ship.fetched",
     "serve.client_disconnect",

@@ -707,6 +707,79 @@ fn dataset_catalog_registers_resolves_and_survives_restart() {
 }
 
 #[test]
+fn cataloged_validates_reuse_the_version_memo_across_workers_and_panics() {
+    let (csv_text, onto_text) = dataset(300);
+    let ckpt = tmp_dir("validate-memo");
+    let server = Server::bind(ServeConfig {
+        workers: 2,
+        checkpoint_dir: Some(ckpt.clone()),
+        // The inject_panic chaos hook only arms under an active plan; a
+        // zero-probability site keeps the plan itself inert.
+        faults: ofd_core::FaultPlan::parse("seed=1,delay%0").expect("plan"),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    ofd_core::silence_injected_panics();
+    let addr = server.addr();
+    let put = request(
+        addr,
+        "PUT",
+        "/v1/datasets/memo",
+        Some(&json!({ "csv": &csv_text, "ontology": &onto_text })),
+    );
+    assert_eq!(put.status, 200);
+    let specs: Vec<&str> = vec!["CC->CTRY", "CC,SYMP->CTRY", "CC->SYMP", "SYMP->CC"];
+    let results = |body: Value| {
+        let reply = request(addr, "POST", "/v1/validate", Some(&body));
+        assert_eq!(reply.status, 200, "{:?}", reply.json());
+        let v = reply.json();
+        (v.get("results").cloned(), v.get("all_satisfied").cloned())
+    };
+    // The uncached reference: the same Σ shipped inline.
+    let inline =
+        results(json!({ "csv": &csv_text, "ontology": &onto_text, "ofds": specs.clone() }));
+    assert!(inline.0.is_some());
+
+    // A panicking job on the entry answers 500 and leaves it serving.
+    let panicked = request(
+        addr,
+        "POST",
+        "/v1/validate",
+        Some(&json!({ "dataset": "memo@1", "ofds": specs.clone(), "inject_panic": true })),
+    );
+    assert_eq!(panicked.status, 500);
+
+    // Two senders at once, so both workers validate the entry together.
+    let rounds = 6;
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                for _ in 0..rounds {
+                    let cached = results(json!({ "dataset": "memo@1", "ofds": specs.clone() }));
+                    assert_eq!(cached, inline, "a cataloged validate answers like an uncached one");
+                }
+            });
+        }
+    });
+
+    // Every OFD of every cataloged validate is one memo lookup, and each
+    // distinct antecedent misses once.
+    let metrics = request(addr, "GET", "/metrics", None).json();
+    let counter = |name: &str| {
+        metrics
+            .get("counters")
+            .and_then(|c| c.get(name))
+            .and_then(Value::as_u64)
+            .expect("pinned counter")
+    };
+    let lookups = (2 * rounds * specs.len()) as u64;
+    assert_eq!(counter("serve.catalog.partition_miss"), 3);
+    assert_eq!(counter("serve.catalog.partition_hit"), lookups - 3);
+    server.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+#[test]
 fn mutual_peers_answer_an_unknown_name_without_a_describe_storm() {
     // Two workers that list each other in `peers`. A describe one sends
     // the other must be answered from local state only, or a name neither

@@ -186,6 +186,9 @@ fn serve_metrics_endpoint_matches_schema_v1_with_serve_counters_pinned() {
         "serve.catalog.read_repaired",
         "serve.ship.served",
         "serve.ship.fetched",
+        // Whether cataloged validates hit their version's partition memo.
+        "serve.catalog.partition_hit",
+        "serve.catalog.partition_miss",
         // The network fault-injection surface: workers publish zeros for
         // the chaos counters from bind so soak dashboards never see an
         // absent series.
