@@ -51,7 +51,10 @@
 //! replica to **adopt** the dead worker's checkpoint on the *same*
 //! still-open client connection, waits for the supervisor to respawn the
 //! slot, then restarts the whole fleet and proves the catalog and every
-//! answer survive byte-identically. `--metrics-out` dumps the final
+//! answer survive byte-identically. On the restarted fleet, validates of
+//! the reference Σ by catalog reference must answer as the same request
+//! shipped inline, and the serving worker must reuse the version's cached
+//! partitions (`serve.catalog.partition_hit` > 0). `--metrics-out` dumps the final
 //! router and worker `/metrics` documents as one JSON file for CI
 //! artifacts.
 //!
@@ -1018,6 +1021,63 @@ fn router_kill_trial(
     adopted
 }
 
+/// Validates the reference Σ by catalog reference and inline, twice each,
+/// through the router: every cataloged reply must equal the inline one,
+/// and the worker that served the cataloged ones (both route to the ring
+/// owner of v1's content) must have reused a cached partition. Returns
+/// that worker's `serve.catalog.partition_hit`.
+fn phase_router_validates(
+    router: &Router,
+    csv_text: &str,
+    onto_text: &str,
+    reference: &[(String, String, u64, u64)],
+) -> u64 {
+    let specs: Vec<String> = reference
+        .iter()
+        .map(|(lhs, rhs, _, _)| format!("{lhs}->{rhs}"))
+        .collect();
+    let cataloged = json!({ "dataset": "clinical@1", "ofds": specs.clone() });
+    let inline = json!({ "csv": csv_text, "ontology": onto_text, "ofds": specs });
+    for _ in 0..2 {
+        let by_ref = request(router.addr(), "POST", "/v1/validate", Some(&cataloged));
+        let shipped = request(router.addr(), "POST", "/v1/validate", Some(&inline));
+        assert_eq!(
+            (by_ref.status, shipped.status),
+            (200, 200),
+            "validates answer"
+        );
+        for field in ["status", "results", "all_satisfied"] {
+            assert_eq!(
+                by_ref.body.get(field),
+                shipped.body.get(field),
+                "a cataloged validate's {field:?} equals the inline one's"
+            );
+        }
+    }
+    let counts: Vec<(u64, u64)> = supervised(router)
+        .addrs()
+        .into_iter()
+        .flatten()
+        .map(|a| {
+            (
+                worker_counter(a, "serve.catalog.partition_hit"),
+                worker_counter(a, "serve.catalog.partition_miss"),
+            )
+        })
+        .collect();
+    let serving: Vec<u64> = counts
+        .iter()
+        .filter(|&&(hit, miss)| hit + miss > 0)
+        .map(|&(hit, _)| hit)
+        .collect();
+    assert!(
+        serving.len() == 1 && serving[0] > 0,
+        "one worker served the cataloged validates and reused a cached \
+         partition (per worker (hit, miss): {counts:?})"
+    );
+    serving[0]
+}
+
 /// `--router`: the whole fleet game — catalog registration through the
 /// router, SIGKILL + checkpoint adoption on the surviving replica,
 /// supervisor respawns, and a full-fleet restart that must preserve the
@@ -1101,6 +1161,8 @@ fn phase_router(args: &Args, metrics_out: Option<&Path>) {
         ref_v1,
         "v1 is byte-identical across a full-fleet restart"
     );
+    let hits = phase_router_validates(&router, &csv_v1, &onto_v1, &ref_v1);
+    println!("phase router: cataloged validates of v1's Σ match inline ({hits} partition hits)");
 
     // The router's counters are the soak's ledger; pin them.
     let snap = obs.snapshot();

@@ -14,6 +14,7 @@ use crate::ontology::Ontology;
 pub struct OntologyBuilder {
     concepts: Vec<Concept>,
     interpretations: Vec<String>,
+    interpretation_ids: HashMap<String, InterpretationId>,
     index: HashMap<String, Vec<SenseId>>,
 }
 
@@ -24,13 +25,27 @@ impl OntologyBuilder {
     }
 
     /// Registers (or looks up) an interpretation label such as `"FDA"`.
+    ///
+    /// # Panics
+    /// Panics on a new label once 65,536 are registered, the most a `u16`
+    /// id can name; [`OntologyBuilder::try_interpretation`] returns `None`
+    /// instead.
     pub fn interpretation(&mut self, label: impl AsRef<str>) -> InterpretationId {
+        self.try_interpretation(label)
+            .expect("at most 65,536 interpretation labels")
+    }
+
+    /// [`OntologyBuilder::interpretation`], or `None` when `label` is new
+    /// and no `u16` id is left for it.
+    pub fn try_interpretation(&mut self, label: impl AsRef<str>) -> Option<InterpretationId> {
         let label = label.as_ref();
-        if let Some(pos) = self.interpretations.iter().position(|l| l == label) {
-            return InterpretationId::from_index(pos);
+        if let Some(&id) = self.interpretation_ids.get(label) {
+            return Some(id);
         }
+        let id = InterpretationId(u16::try_from(self.interpretations.len()).ok()?);
         self.interpretations.push(label.to_owned());
-        InterpretationId::from_index(self.interpretations.len() - 1)
+        self.interpretation_ids.insert(label.to_owned(), id);
+        Some(id)
     }
 
     /// Starts a new concept with the given class label.

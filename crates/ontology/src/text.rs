@@ -89,7 +89,9 @@ pub fn parse_ontology(text: &str) -> Result<Ontology, OntologyError> {
             if label.is_empty() {
                 return Err(parse_err(lineno, "empty interpretation label"));
             }
-            b.interpretation(label);
+            if b.try_interpretation(label).is_none() {
+                return Err(parse_err(lineno, "more than 65,536 interpretation labels"));
+            }
         } else if let Some(rest) = line.strip_prefix("C ") {
             let mut fields = rest.split('\t');
             let head = fields
@@ -219,6 +221,29 @@ mod tests {
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
+    #[test]
+    fn rejects_more_interpretation_labels_than_u16_ids() {
+        // 65,536 labels fit in a u16 id; a 65,537th distinct label is a
+        // typed error naming its line, not a panic.
+        let mut text = String::from("ONTO v1\n");
+        for i in 0..=u32::from(u16::MAX) {
+            text.push_str(&format!("I L{i}\n"));
+        }
+        let full = parse_ontology(&text).expect("65,536 labels fit");
+        assert_eq!(full.interpretation_labels().len(), 65_536);
+        text.push_str("I L0\n");
+        assert!(
+            parse_ontology(&text).is_ok(),
+            "a repeated label takes no new id"
+        );
+        text.push_str("I one-too-many\n");
+        let err = parse_ontology(&text).unwrap_err();
+        assert!(
+            matches!(err, OntologyError::Parse { line: 65_539, .. }),
+            "{err}"
+        );
+    }
+
     mod properties {
         use super::*;
         use crate::builder::OntologyBuilder;
@@ -281,18 +306,38 @@ mod tests {
                 }
             }
 
-            /// The parser never panics on arbitrary input — it returns
-            /// a structured error or a valid ontology.
+            /// The parser never panics — it returns a structured error or a
+            /// valid ontology — on arbitrary input, and on mutated bytes of
+            /// well-formed text: each edit replaces, inserts or deletes one
+            /// byte of `write_ontology` output, read back as lossy UTF-8.
             #[test]
-            fn parser_is_total(input in ".{0,400}") {
-                match parse_ontology(&input) {
-                    Ok(onto) => {
-                        // Whatever parsed must re-serialize and re-parse.
-                        let again = parse_ontology(&write_ontology(&onto));
-                        prop_assert!(again.is_ok());
+            fn parser_is_total(
+                input in ".{0,400}",
+                onto in arb_ontology(),
+                edits in prop::collection::vec((0usize..4096, 0u8..3, 0u8..=255), 1..6),
+            ) {
+                let mut bytes = write_ontology(&onto).into_bytes();
+                for (at, op, byte) in edits {
+                    let at = at % (bytes.len() + 1);
+                    match op {
+                        0 if at < bytes.len() => bytes[at] = byte,
+                        1 => bytes.insert(at, byte),
+                        _ if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        _ => bytes.push(byte),
                     }
-                    Err(OntologyError::Parse { line, .. }) => prop_assert!(line >= 1),
-                    Err(_) => {}
+                }
+                for text in [input, String::from_utf8_lossy(&bytes).into_owned()] {
+                    match parse_ontology(&text) {
+                        Ok(onto) => {
+                            // Whatever parsed must re-serialize and re-parse.
+                            let again = parse_ontology(&write_ontology(&onto));
+                            prop_assert!(again.is_ok());
+                        }
+                        Err(OntologyError::Parse { line, .. }) => prop_assert!(line >= 1),
+                        Err(_) => {}
+                    }
                 }
             }
 

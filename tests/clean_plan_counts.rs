@@ -1,6 +1,7 @@
 //! OFDClean's plans on the five clean-2k benchmark instances, pinned by
-//! their counts. Beam search may change how it costs a node, never which
-//! nodes it keeps: the candidate count w, the beam width b, every frontier
+//! their counts. Refinement may change how it weighs an edge, and beam
+//! search how it costs a node, never what they choose: the sense
+//! reassignments, the candidate count w, the beam width b, every frontier
 //! (k, cover), the number of ontology insertions and data repairs and
 //! `satisfied` stay these literals.
 
@@ -9,6 +10,8 @@ use fastofd::datagen::{clinical, PresetConfig};
 
 struct Expected {
     seed: u64,
+    /// Sense reassignments made by local refinement.
+    reassignments: usize,
     w: usize,
     b: usize,
     /// Frontier covers, indexed by k.
@@ -20,6 +23,7 @@ struct Expected {
 const PLANS: [Expected; 5] = [
     Expected {
         seed: 4,
+        reassignments: 1,
         w: 52,
         b: 19,
         covers: &[144, 121, 103, 88, 82, 79, 77, 75, 73, 71, 69, 67, 66],
@@ -28,6 +32,7 @@ const PLANS: [Expected; 5] = [
     },
     Expected {
         seed: 1,
+        reassignments: 1,
         w: 57,
         b: 20,
         covers: &[161, 121, 111, 102, 95, 89, 85, 82, 79, 77, 75, 73, 72],
@@ -36,6 +41,7 @@ const PLANS: [Expected; 5] = [
     },
     Expected {
         seed: 9,
+        reassignments: 0,
         w: 61,
         b: 22,
         covers: &[
@@ -46,6 +52,7 @@ const PLANS: [Expected; 5] = [
     },
     Expected {
         seed: 2,
+        reassignments: 0,
         w: 58,
         b: 21,
         covers: &[
@@ -56,6 +63,7 @@ const PLANS: [Expected; 5] = [
     },
     Expected {
         seed: 3,
+        reassignments: 1,
         w: 71,
         b: 26,
         covers: &[
@@ -86,6 +94,10 @@ fn clean_2k_plans_are_pinned() {
         let plan = &result.plan;
         let seed = e.seed;
         assert!(result.complete, "seed {seed}");
+        assert_eq!(
+            result.reassignments, e.reassignments,
+            "seed {seed}: reassignments"
+        );
         assert_eq!(plan.candidates.len(), e.w, "seed {seed}: w");
         assert_eq!(plan.beam, e.b, "seed {seed}: b");
         let frontier: Vec<(usize, usize)> = plan.frontier.iter().map(|p| (p.k, p.cover)).collect();
