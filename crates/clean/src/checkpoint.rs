@@ -15,7 +15,7 @@
 
 use ofd_core::snapshot::{hash_ontology, hash_relation};
 use ofd_core::{AttrId, Fingerprint, Obs, OfdKind, Relation, ValueId};
-use ofd_ontology::{Ontology, SenseId};
+use ofd_ontology::{Ontology, OntologyRepair, SenseId};
 use serde_json::{json, Value};
 
 use crate::conflict::CellRepair;
@@ -69,12 +69,18 @@ fn adds_to_json(rel: &Relation, adds: &[(ValueId, SenseId)]) -> Value {
     )
 }
 
-fn adds_from_json(rel: &Relation, v: &Value) -> Option<Vec<(ValueId, SenseId)>> {
+/// A sense id below |S|, or `None`.
+fn sense(onto: &Ontology, v: &Value) -> Option<SenseId> {
+    let index = v.as_u64()?;
+    (index < onto.len() as u64).then(|| SenseId::from_index(index as usize))
+}
+
+fn adds_from_json(rel: &Relation, onto: &Ontology, v: &Value) -> Option<Vec<(ValueId, SenseId)>> {
     let mut out = Vec::new();
     for pair in v.as_array()? {
         let pair = pair.as_array()?;
         let value = rel.pool().get(pair.first()?.as_str()?)?;
-        out.push((value, SenseId::from_index(pair.get(1)?.as_u64()? as usize)));
+        out.push((value, sense(onto, pair.get(1)?)?));
     }
     Some(out)
 }
@@ -88,12 +94,12 @@ fn point_to_json(rel: &Relation, p: &ParetoPoint) -> Value {
     })
 }
 
-fn point_from_json(rel: &Relation, v: &Value) -> Option<ParetoPoint> {
+fn point_from_json(rel: &Relation, onto: &Ontology, v: &Value) -> Option<ParetoPoint> {
     Some(ParetoPoint {
         k: v.get("k")?.as_u64()? as usize,
         delta_p: v.get("delta_p")?.as_u64()? as usize,
         cover: v.get("cover")?.as_u64()? as usize,
-        adds: adds_from_json(rel, v.get("adds")?)?,
+        adds: adds_from_json(rel, onto, v.get("adds")?)?,
     })
 }
 
@@ -182,8 +188,17 @@ pub(crate) struct CleanResume {
 }
 
 /// Validates and decodes a clean snapshot body; `None` falls back to a
-/// fresh run.
-pub(crate) fn restore(body: &Value, fp: u64, rel: &Relation) -> Option<CleanResume> {
+/// fresh run. The fingerprint binds a snapshot to its inputs but does not
+/// vouch for the ids in its body (a peer may have shipped it), so every
+/// sense id must lie below |S|, every repair cell inside `rel`, and a
+/// phase ≥ 2 plan must have a non-empty `pareto` whose points' additions
+/// are each ones `onto.with_repair` accepts.
+pub(crate) fn restore(
+    body: &Value,
+    fp: u64,
+    rel: &Relation,
+    onto: &Ontology,
+) -> Option<CleanResume> {
     if body.get("version")?.as_u64()? != 1 || body.get("kind")?.as_str()? != "clean" {
         return None;
     }
@@ -200,29 +215,38 @@ pub(crate) fn restore(body: &Value, fp: u64, rel: &Relation) -> Option<CleanResu
         for cell in row.as_array()? {
             senses.push(match cell {
                 Value::Null => None,
-                other => Some(SenseId::from_index(other.as_u64()? as usize)),
+                other => Some(sense(onto, other)?),
             });
         }
         table.push(senses);
     }
     let plan = match body.get("plan")? {
         Value::Null => None,
-        p => Some(OntologyRepairPlan {
-            candidates: adds_from_json(rel, p.get("candidates")?)?,
-            beam: p.get("beam")?.as_u64()? as usize,
-            frontier: p
-                .get("frontier")?
-                .as_array()?
-                .iter()
-                .map(|pt| point_from_json(rel, pt))
-                .collect::<Option<Vec<_>>>()?,
-            pareto: p
-                .get("pareto")?
-                .as_array()?
-                .iter()
-                .map(|pt| point_from_json(rel, pt))
-                .collect::<Option<Vec<_>>>()?,
-        }),
+        p => {
+            let points = |key: &str| -> Option<Vec<ParetoPoint>> {
+                let points = p.get(key)?.as_array()?.iter();
+                points.map(|pt| point_from_json(rel, onto, pt)).collect()
+            };
+            let plan = OntologyRepairPlan {
+                candidates: adds_from_json(rel, onto, p.get("candidates")?)?,
+                beam: p.get("beam")?.as_u64()? as usize,
+                frontier: points("frontier")?,
+                pareto: points("pareto")?,
+            };
+            // `ofd_clean` applies the Pareto point `select` picks: there
+            // must be one, and `with_repair` must accept each one's adds.
+            let applicable = |point: &ParetoPoint| {
+                let mut repair = OntologyRepair::new();
+                for &(v, s) in &point.adds {
+                    repair.add(s, rel.pool().resolve(v));
+                }
+                onto.with_repair(&repair).is_ok()
+            };
+            if plan.pareto.is_empty() || !plan.pareto.iter().all(applicable) {
+                return None;
+            }
+            Some(plan)
+        }
     };
     let repairs = match body.get("repairs")? {
         Value::Null => None,
@@ -333,7 +357,8 @@ mod tests {
         );
         let text = serde_json::to_string(&body).unwrap();
         let parsed: Value = serde_json::from_str(&text).unwrap();
-        let rs = restore(&parsed, 9, &rel).expect("restores");
+        let onto = samples::combined_paper_ontology();
+        let rs = restore(&parsed, 9, &rel, &onto).expect("restores");
         assert_eq!(rs.phase, 3);
         assert_eq!(rs.assignment, assignment);
         assert_eq!(rs.reassignments, 4);
@@ -343,7 +368,7 @@ mod tests {
         assert_eq!(got_plan.pareto[0].adds, plan.pareto[0].adds);
         assert_eq!(rs.repairs.unwrap(), repairs);
         // Wrong fingerprint is rejected.
-        assert!(restore(&parsed, 10, &rel).is_none());
+        assert!(restore(&parsed, 10, &rel, &onto).is_none());
     }
 
     #[test]
@@ -351,9 +376,105 @@ mod tests {
         let rel = table1_updated();
         let assignment = SenseAssignment::from_table(vec![vec![None]]);
         // Claims phase 2 but has no plan section.
+        let onto = samples::combined_paper_ontology();
         let body = snapshot_body(1, 2, &rel, &assignment, 0, None, None, &Obs::disabled());
-        assert!(restore(&body, 1, &rel).is_none());
+        assert!(restore(&body, 1, &rel, &onto).is_none());
         let body1 = snapshot_body(1, 1, &rel, &assignment, 0, None, None, &Obs::disabled());
-        assert!(restore(&body1, 1, &rel).is_some());
+        assert!(restore(&body1, 1, &rel, &onto).is_some());
+    }
+
+    #[test]
+    fn restore_rejects_ids_outside_the_ontology() {
+        let rel = table1_updated();
+        let onto = samples::combined_paper_ontology();
+        let n = onto.len();
+        let asa = rel.pool().get("ASA").unwrap();
+        let fresh = SenseId::from_index(1);
+        assert!(onto
+            .with_repair(OntologyRepair::new().add(fresh, "ASA"))
+            .is_ok());
+        let held = onto
+            .sense_ids()
+            .find(|&s| !onto.synonyms(s).unwrap().is_empty())
+            .unwrap();
+        let held_value = rel.pool().get(&onto.synonyms(held).unwrap()[0]);
+        let point = |adds: Vec<(ValueId, SenseId)>| ParetoPoint {
+            k: adds.len(),
+            delta_p: 0,
+            cover: 0,
+            adds,
+        };
+        let plan = |candidates, pareto: Vec<ParetoPoint>| OntologyRepairPlan {
+            candidates,
+            beam: 1,
+            frontier: pareto.clone(),
+            pareto,
+        };
+        let restores = |table: Vec<Vec<Option<SenseId>>>, plan: &OntologyRepairPlan| {
+            let assignment = SenseAssignment::from_table(table);
+            let body = snapshot_body(
+                5,
+                2,
+                &rel,
+                &assignment,
+                0,
+                Some(plan),
+                None,
+                &Obs::disabled(),
+            );
+            restore(&body, 5, &rel, &onto).is_some()
+        };
+        let good = plan(
+            vec![(asa, fresh)],
+            vec![point(vec![]), point(vec![(asa, fresh)])],
+        );
+        assert!(
+            restores(vec![vec![Some(fresh)]], &good),
+            "a body inside the ontology restores"
+        );
+        for bad in [n as u64, 1 << 20, 1 << 40] {
+            let assignment = SenseAssignment::from_table(vec![vec![Some(fresh)]]);
+            let mut body = snapshot_body(
+                5,
+                2,
+                &rel,
+                &assignment,
+                0,
+                Some(&good),
+                None,
+                &Obs::disabled(),
+            );
+            let Value::Object(fields) = &mut body else {
+                unreachable!()
+            };
+            let (_, table) = fields.iter_mut().find(|(k, _)| k == "assignment").unwrap();
+            *table = json!([[null, bad]]);
+            assert!(
+                restore(&body, 5, &rel, &onto).is_none(),
+                "assignment sense {bad}"
+            );
+        }
+        let unknown = SenseId::from_index(n);
+        let bad_candidate = plan(vec![(asa, unknown)], vec![point(vec![])]);
+        assert!(
+            !restores(vec![], &bad_candidate),
+            "a candidate naming an unknown sense"
+        );
+        let bad_point = plan(vec![], vec![point(vec![(asa, unknown)])]);
+        assert!(
+            !restores(vec![], &bad_point),
+            "a Pareto add naming an unknown sense"
+        );
+        if let Some(v) = held_value {
+            let held_add = plan(vec![], vec![point(vec![(v, held)])]);
+            assert!(
+                !restores(vec![], &held_add),
+                "an add of a value the sense already holds"
+            );
+        }
+        assert!(
+            !restores(vec![], &plan(vec![], vec![])),
+            "a phase-2 plan with no Pareto point"
+        );
     }
 }

@@ -226,7 +226,7 @@ fn clean_core(
     let mut resume: Option<checkpoint::CleanResume> = None;
     if let Some(ck) = config.checkpoint.as_ref().filter(|c| c.resume) {
         if let Ok(Some(loaded)) = ck.store.load_latest(checkpoint::STREAM) {
-            match checkpoint::restore(&loaded.body, fp.expect("fp set"), rel) {
+            match checkpoint::restore(&loaded.body, fp.expect("fp set"), rel, onto) {
                 Some(rs) => resume = Some(rs),
                 None => obs.inc("clean.resume.rejected"),
             }

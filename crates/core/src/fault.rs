@@ -616,4 +616,53 @@ mod tests {
         assert_eq!(p.snapshot_write_fault(), None);
         assert_eq!(q.snapshot_write_fault(), Some(SnapshotFault::Error));
     }
+
+    /// `FaultPlan::parse` is total: arbitrary text and edits of valid
+    /// specs parse or return a typed error.
+    #[test]
+    fn parse_is_total() {
+        use proptest::prelude::*;
+        let valid = [
+            "seed=42,delay%1.0,delay-ms=1",
+            "seed=7,snapshot-io%0.2,snapshot-torn%0.15,delay%1.0,delay-ms=1",
+            "seed=3,net-delay%0.12,net-reset%0.08,net-partial%0.05,net-blackhole%0.03,net-refuse%0.08",
+            "panic@3,snapshot-io@1",
+        ];
+        // Spec punctuation and digits are drawn one time in two.
+        let ch = || {
+            (0u16..256).prop_map(|x| match x {
+                0..=127 => char::from_u32(u32::from(x)).unwrap_or('?'),
+                _ => "seed=,%@.-delay0123456789eE+-"[usize::from(x % 29)..]
+                    .chars()
+                    .next()
+                    .unwrap(),
+            })
+        };
+        proptest!(ProptestConfig::with_cases(512), |(
+            raw in prop::collection::vec(ch(), 0..60),
+            pick in 0usize..4,
+            ops in prop::collection::vec((0u8..3, 0usize..256, ch()), 1..6),
+        )| {
+            let mut edited: Vec<char> = valid[pick].chars().collect();
+            for &(op, at, c) in &ops {
+                let at = at % (edited.len() + 1);
+                match op {
+                    0 if at < edited.len() => edited[at] = c,
+                    1 => edited.insert(at, c),
+                    _ if at < edited.len() => {
+                        edited.remove(at);
+                    }
+                    _ => {}
+                }
+            }
+            for spec in [raw.iter().collect::<String>(), edited.iter().collect()] {
+                match FaultPlan::parse(&spec) {
+                    Ok(plan) => {
+                        let _ = plan.snapshot_write_fault();
+                    }
+                    Err(e) => prop_assert!(!e.to_string().is_empty()),
+                }
+            }
+        });
+    }
 }

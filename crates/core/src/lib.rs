@@ -56,7 +56,7 @@ pub use fault::{
     INJECTED_PANIC, NET_SITES,
 };
 pub use guard::{rss_kib, ExecGuard, GuardConfig, Interrupt, Partial};
-pub use snapshot::{atomic_write, fnv1a64, fsync_dir, hash_ontology, hash_relation, CheckpointOptions, Fingerprint, LoadedSnapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
+pub use snapshot::{atomic_write, fnv1a64, fsync_dir, hash_ontology, hash_relation, valid_stream_name, CheckpointOptions, Fingerprint, LoadedSnapshot, SnapshotError, SnapshotStore, SNAPSHOT_VERSION};
 pub use obs::{MetricsSnapshot, Obs, SpanGuard};
 pub use support::{meets_support, support_threshold};
 pub use incremental::{IncrementalChecker, RetractOutcome};

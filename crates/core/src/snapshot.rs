@@ -176,6 +176,9 @@ pub enum SnapshotError {
         /// What failed to validate.
         reason: String,
     },
+    /// A stream name outside [`valid_stream_name`]'s rule: it could
+    /// address a file outside the store's directory.
+    BadName(String),
 }
 
 impl fmt::Display for SnapshotError {
@@ -185,6 +188,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Corrupt { path, reason } => {
                 write!(f, "corrupt snapshot {}: {reason}", path.display())
             }
+            SnapshotError::BadName(name) => write!(
+                f,
+                "bad snapshot stream name {name:?} (want 1-64 bytes of [A-Za-z0-9_-])"
+            ),
         }
     }
 }
@@ -319,7 +326,28 @@ pub fn decode_snapshot(path: &Path, bytes: &[u8]) -> Result<Value, SnapshotError
     serde_json::from_str(text).map_err(|e| corrupt(format!("body is not valid JSON: {e}")))
 }
 
+/// Whether `name` may name a snapshot stream (and a catalog dataset):
+/// 1–64 bytes of `[A-Za-z0-9_-]`. No separator, dot or absolute path can
+/// pass, so a stream's files stay inside its store's directory, and the
+/// `.` before the sequence number stays unambiguous.
+pub fn valid_stream_name(name: &str) -> bool {
+    (1..=64).contains(&name.len())
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+}
+
+fn checked(name: &str) -> Result<&str, SnapshotError> {
+    if valid_stream_name(name) {
+        Ok(name)
+    } else {
+        Err(SnapshotError::BadName(name.to_owned()))
+    }
+}
+
 /// A directory of sequenced snapshots for one or more named streams.
+/// Every method that takes a stream name rejects one that fails
+/// [`valid_stream_name`] with [`SnapshotError::BadName`].
 #[derive(Debug, Clone)]
 pub struct SnapshotStore {
     dir: PathBuf,
@@ -346,8 +374,8 @@ impl SnapshotStore {
         &self.dir
     }
 
-    fn file_path(&self, name: &str, seq: u64) -> PathBuf {
-        self.dir.join(format!("{name}.{seq:06}.ckpt"))
+    fn file_path(&self, name: &str, seq: u64) -> Result<PathBuf, SnapshotError> {
+        Ok(self.dir.join(format!("{}.{seq:06}.ckpt", checked(name)?)))
     }
 
     /// Saves `body` as snapshot `seq` of stream `name`, atomically.
@@ -355,8 +383,8 @@ impl SnapshotStore {
     /// invalid file at the final path — exactly what a non-atomic crash
     /// would, so loaders get exercised against it).
     pub fn save(&self, name: &str, seq: u64, body: &Value) -> Result<PathBuf, SnapshotError> {
+        let path = self.file_path(name, seq)?;
         fs::create_dir_all(&self.dir)?;
-        let path = self.file_path(name, seq);
         let bytes = encode_snapshot(body);
         match self.faults.snapshot_write_fault() {
             Some(SnapshotFault::Error) => {
@@ -380,12 +408,12 @@ impl SnapshotStore {
     /// as corrupt. `Ok(None)` when the stream has no valid snapshot (or
     /// the directory does not exist).
     pub fn load_latest(&self, name: &str) -> Result<Option<LoadedSnapshot>, SnapshotError> {
+        let prefix = format!("{}.", checked(name)?);
         let entries = match fs::read_dir(&self.dir) {
             Ok(e) => e,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        let prefix = format!("{name}.");
         let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
         for entry in entries {
             let entry = entry?;
@@ -433,7 +461,7 @@ impl SnapshotStore {
     /// caller asked for that precise version, so silently falling back
     /// would lie).
     pub fn load_seq(&self, name: &str, seq: u64) -> Result<Option<LoadedSnapshot>, SnapshotError> {
-        let path = self.file_path(name, seq);
+        let path = self.file_path(name, seq)?;
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -482,6 +510,7 @@ impl SnapshotStore {
     /// bound disk growth; keeping more than one file preserves the
     /// newest-first corrupt-skipping fallback of [`SnapshotStore::load_latest`].
     pub fn prune(&self, name: &str, keep_last: usize) -> Result<usize, SnapshotError> {
+        checked(name)?;
         let mut files: Vec<(u64, PathBuf)> = self
             .walk()?
             .into_iter()
@@ -506,7 +535,7 @@ impl SnapshotStore {
     /// version that failed to reach quorum; a missing file is a no-op so
     /// rollback is idempotent.
     pub fn remove(&self, name: &str, seq: u64) -> Result<bool, SnapshotError> {
-        match fs::remove_file(self.file_path(name, seq)) {
+        match fs::remove_file(self.file_path(name, seq)?) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e.into()),
@@ -568,6 +597,50 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         SnapshotStore::new(dir)
+    }
+
+    #[test]
+    fn stream_names_cannot_leave_the_store() {
+        let root = std::env::temp_dir().join(format!("ofd_snapshot_names_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let store = SnapshotStore::new(root.join("job-0123456789abcdef"));
+        // The directories a traversal would aim at exist, as another
+        // job's would.
+        let sibling = root.join("job-fedcba9876543210");
+        let absolute = root.join("planted");
+        fs::create_dir_all(&sibling).unwrap();
+        fs::create_dir_all(&absolute).unwrap();
+        let empty = |dir: &Path| fs::read_dir(dir).unwrap().next().is_none();
+        let body = json!({"level": 1});
+        let bad = [
+            "../job-fedcba9876543210/discovery".to_owned(),
+            "..".to_owned(),
+            "a/b".to_owned(),
+            absolute.join("discovery").display().to_string(),
+            String::new(),
+            "x".repeat(65),
+            "dotted.name".to_owned(),
+        ];
+        for name in &bad {
+            let err = store
+                .save(name, 7, &body)
+                .expect_err("save refuses the name");
+            assert!(err.to_string().contains("stream name"), "{name:?}: {err}");
+            assert!(store.load_latest(name).is_err(), "{name:?}: load_latest");
+            assert!(store.load_seq(name, 7).is_err(), "{name:?}: load_seq");
+            assert!(store.prune(name, 0).is_err(), "{name:?}: prune");
+            assert!(store.remove(name, 7).is_err(), "{name:?}: remove");
+        }
+        assert!(empty(&sibling), "nothing was written into the sibling job");
+        assert!(empty(&absolute), "nothing was written at the absolute path");
+        assert!(!store.dir().exists(), "a refused save creates nothing");
+        store
+            .save(&"x".repeat(64), 1, &body)
+            .expect("64 bytes are allowed");
+        store
+            .save("A-z_09", 1, &body)
+            .expect("the full alphabet is allowed");
+        let _ = fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -880,5 +953,51 @@ mod tests {
             .unwrap()
             .replace("v1", "v2");
         assert!(decode_snapshot(p, v2.as_bytes()).is_err());
+    }
+
+    /// `base` with byte flips, inserts and deletes, picked by `ops`.
+    fn mutate(base: &[u8], ops: &[(u8, usize, u8)]) -> Vec<u8> {
+        let mut out = base.to_vec();
+        for &(op, at, byte) in ops {
+            let at = at % (out.len() + 1);
+            match op {
+                0 if at < out.len() => out[at] = byte,
+                1 => out.insert(at, byte),
+                _ if at < out.len() => {
+                    out.remove(at);
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// `decode_snapshot` is total: arbitrary bytes and byte edits of a
+    /// real envelope (header digits, the claimed length, the checksum,
+    /// the JSON body) decode or return a typed error, and whatever
+    /// decodes re-encodes to the same value.
+    #[test]
+    fn decode_snapshot_is_total() {
+        use proptest::prelude::*;
+        let valid = encode_snapshot(&json!({"level": 3, "sigma": [[1, 2]], "note": "a\nb"}));
+        let path = Path::new("fuzz.ckpt");
+        // Header bytes are drawn one time in three.
+        let byte = || {
+            (0u16..384).prop_map(|x| match x {
+                0..=255 => x as u8,
+                _ => b"OFDSNAP v1 0123456789abcdef\n{}[]\""[usize::from(x % 32)],
+            })
+        };
+        proptest!(ProptestConfig::with_cases(512), |(
+            raw in prop::collection::vec(byte(), 0..120),
+            ops in prop::collection::vec((0u8..3, 0usize..512, byte()), 1..6),
+        )| {
+            for bytes in [raw.clone(), mutate(&valid, &ops)] {
+                if let Ok(body) = decode_snapshot(path, &bytes) {
+                    let again = encode_snapshot(&body);
+                    prop_assert_eq!(decode_snapshot(path, &again).unwrap(), body);
+                }
+            }
+        });
     }
 }

@@ -147,22 +147,38 @@ pub(crate) struct ResumeState {
 }
 
 /// Validates and decodes a snapshot body against the current inputs'
-/// fingerprint; `None` means the snapshot is unusable (wrong kind,
-/// version, fingerprint, or malformed fields) and the run starts fresh.
-pub(crate) fn restore(body: &Value, fp: u64, kind: OfdKind) -> Option<ResumeState> {
+/// fingerprint and the relation's `n_attrs` attributes; `None` means the
+/// snapshot is unusable (wrong kind, version, fingerprint, malformed
+/// fields, an attribute outside the schema or a level past it) and the
+/// run starts fresh. The fingerprint binds a snapshot to its inputs but
+/// does not vouch for the ids in its body (a peer may have shipped it),
+/// so every id is checked before the traversal indexes by it.
+pub(crate) fn restore(body: &Value, fp: u64, kind: OfdKind, n_attrs: usize) -> Option<ResumeState> {
     if body.get("version")?.as_u64()? != 1 || body.get("kind")?.as_str()? != "discovery" {
         return None;
     }
     if body.get("fingerprint")?.as_u64()? != fp {
         return None;
     }
+    // Attribute ids below |R|, as bitsets and as one index.
+    let attrs = |v: &Value| {
+        let bits = v.as_u64()?;
+        (bits.checked_shr(n_attrs as u32).unwrap_or(0) == 0).then(|| AttrSet::from_bits(bits))
+    };
     let completed_level = body.get("completed_level")?.as_u64()? as usize;
+    if completed_level > n_attrs {
+        return None;
+    }
     let mut sigma = Vec::new();
     for d in body.get("sigma")?.as_array()? {
+        let rhs = d.get("rhs")?.as_u64()? as usize;
+        if rhs >= n_attrs {
+            return None;
+        }
         sigma.push(DiscoveredOfd {
             ofd: ofd_core::Ofd {
-                lhs: AttrSet::from_bits(d.get("lhs")?.as_u64()?),
-                rhs: ofd_core::AttrId::from_index(d.get("rhs")?.as_u64()? as usize),
+                lhs: attrs(d.get("lhs")?)?,
+                rhs: ofd_core::AttrId::from_index(rhs),
                 kind,
             },
             support: f64::from_bits(d.get("support_bits")?.as_u64()?),
@@ -171,10 +187,7 @@ pub(crate) fn restore(body: &Value, fp: u64, kind: OfdKind) -> Option<ResumeStat
     }
     let mut frontier = Vec::new();
     for n in body.get("frontier")?.as_array()? {
-        frontier.push((
-            AttrSet::from_bits(n.get("attrs")?.as_u64()?),
-            AttrSet::from_bits(n.get("c_plus")?.as_u64()?),
-        ));
+        frontier.push((attrs(n.get("attrs")?)?, attrs(n.get("c_plus")?)?));
     }
     let mut levels = Vec::new();
     for l in body.get("levels")?.as_array()? {
@@ -279,7 +292,7 @@ mod tests {
         // Survive an actual serialize/parse cycle, as on disk.
         let text = serde_json::to_string(&body).unwrap();
         let parsed: Value = serde_json::from_str(&text).unwrap();
-        let rs = restore(&parsed, 42, OfdKind::Synonym).expect("restores");
+        let rs = restore(&parsed, 42, OfdKind::Synonym, rel.n_attrs()).expect("restores");
         assert_eq!(rs.completed_level, 1);
         assert_eq!(rs.sigma.len(), 1);
         assert_eq!(rs.sigma[0].ofd, sigma[0].ofd);
@@ -298,8 +311,8 @@ mod tests {
     #[test]
     fn restore_rejects_wrong_fingerprint_and_kind() {
         let body = snapshot_body(42, 1, &[], &[], &[], 0, &Obs::disabled());
-        assert!(restore(&body, 42, OfdKind::Synonym).is_some());
-        assert!(restore(&body, 43, OfdKind::Synonym).is_none());
+        assert!(restore(&body, 42, OfdKind::Synonym, 6).is_some());
+        assert!(restore(&body, 43, OfdKind::Synonym, 6).is_none());
         let mut not_discovery = body.clone();
         if let Value::Object(fields) = &mut not_discovery {
             for (k, v) in fields.iter_mut() {
@@ -308,6 +321,55 @@ mod tests {
                 }
             }
         }
-        assert!(restore(&not_discovery, 42, OfdKind::Synonym).is_none());
+        assert!(restore(&not_discovery, 42, OfdKind::Synonym, 6).is_none());
+    }
+
+    #[test]
+    fn restore_rejects_ids_outside_the_schema() {
+        let rel = table1();
+        let n = rel.n_attrs();
+        let sigma = |lhs: &[&str], rhs: &str, level| DiscoveredOfd {
+            ofd: ofd_core::Ofd::synonym_named(rel.schema(), lhs, rhs).unwrap(),
+            support: 1.0,
+            level,
+        };
+        let ok = vec![sigma(&["CC"], "CTRY", 1)];
+        let all = (1u64 << n) - 1;
+        let restores = |sigma: &[DiscoveredOfd], frontier: &[(u64, u64)], level: usize| {
+            let body = snapshot_body(7, level, sigma, frontier, &[], 0, &Obs::disabled());
+            restore(&body, 7, OfdKind::Synonym, n).is_some()
+        };
+        assert!(
+            restores(&ok, &[(0b11, all)], 2),
+            "a body inside the schema restores"
+        );
+        assert!(
+            !restores(&ok, &[(1 << n, all)], 2),
+            "a frontier attribute past |R|"
+        );
+        assert!(
+            !restores(&ok, &[(0b11, all | 1 << 40)], 2),
+            "a C+ attribute past |R|"
+        );
+        assert!(!restores(&ok, &[(0b11, all)], n + 1), "a level past |R|");
+        let mut wide = ok.clone();
+        wide[0].ofd.lhs = AttrSet::from_bits(1 << 63);
+        assert!(!restores(&wide, &[], 2), "a Σ antecedent past |R|");
+        for rhs in [n as u64, 64, 1 << 40] {
+            let mut body = snapshot_body(7, 2, &ok, &[], &[], 0, &Obs::disabled());
+            let Value::Object(fields) = &mut body else {
+                unreachable!()
+            };
+            let (_, Value::Array(entries)) = fields.iter_mut().find(|(k, _)| k == "sigma").unwrap()
+            else {
+                unreachable!()
+            };
+            entries[0] =
+                json!({"lhs": 1u64, "rhs": rhs, "support_bits": 1f64.to_bits(), "level": 1u64});
+            assert!(
+                restore(&body, 7, OfdKind::Synonym, n).is_none(),
+                "Σ consequent {rhs}"
+            );
+        }
     }
 }

@@ -228,7 +228,12 @@ impl<'a> FastOfd<'a> {
         let mut snapshot_errors = 0;
         if let Some(ck) = self.opts.checkpoint.as_ref().filter(|ck| ck.resume) {
             if let Ok(Some(loaded)) = ck.store.load_latest(checkpoint::STREAM) {
-                match checkpoint::restore(&loaded.body, fp.expect("fp set"), self.opts.kind) {
+                match checkpoint::restore(
+                    &loaded.body,
+                    fp.expect("fp set"),
+                    self.opts.kind,
+                    self.rel.n_attrs(),
+                ) {
                     Some(rs) => {
                         sigma = rs.sigma;
                         stats.levels = rs.levels;

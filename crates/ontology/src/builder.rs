@@ -92,19 +92,31 @@ impl OntologyBuilder {
             }
         }
         let id = SenseId::from_index(self.concepts.len());
+        // One pass over the synonyms, in line order: a value's index entry
+        // ends in `id` exactly when this concept already listed it. On the
+        // first bad value, the entries pushed so far are taken back.
         for (pos, v) in synonyms.iter().enumerate() {
-            if v.is_empty() {
-                return Err(OntologyError::EmptyValue { sense: id });
-            }
-            if synonyms[..pos].contains(v) {
-                return Err(OntologyError::DuplicateSynonym {
+            let error = if v.is_empty() {
+                OntologyError::EmptyValue { sense: id }
+            } else {
+                let senses = self.index.entry(v.clone()).or_default();
+                if senses.last() != Some(&id) {
+                    senses.push(id);
+                    continue;
+                }
+                OntologyError::DuplicateSynonym {
                     sense: id,
                     value: v.clone(),
-                });
+                }
+            };
+            for earlier in &synonyms[..pos] {
+                let senses = self.index.get_mut(earlier).expect("pushed above");
+                senses.pop();
+                if senses.is_empty() {
+                    self.index.remove(earlier);
+                }
             }
-        }
-        for v in &synonyms {
-            self.index.entry(v.clone()).or_default().push(id);
+            return Err(error);
         }
         if let Some(p) = parent {
             self.concepts[p.index()].children.push(id);
@@ -250,6 +262,38 @@ mod tests {
             b.concept("c").synonym("").build(),
             Err(OntologyError::EmptyValue { .. })
         ));
+    }
+
+    #[test]
+    fn a_rejected_concept_names_its_first_repeat_and_leaves_the_builder_unchanged() {
+        let mut b = OntologyBuilder::new();
+        let kept = b.concept("kept").synonyms(["a", "z"]).build().unwrap();
+        // `b` is the first value, in line order, that repeats an earlier one.
+        let err = b
+            .concept("c")
+            .synonyms(["a", "b", "c", "b", "a", "c"])
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&err, OntologyError::DuplicateSynonym { value, .. } if value == "b"),
+            "{err:?}"
+        );
+        // The same line as ontology text names the same value.
+        let text = "ONTO v1\nC - -\tc\ta\tb\tc\tb\ta\tc\n";
+        let err = crate::parse_ontology(text).unwrap_err().to_string();
+        assert!(err.contains("duplicate synonym \"b\""), "{err}");
+        let err = b.concept("c").synonyms(["q", "", "q"]).build().unwrap_err();
+        assert!(matches!(err, OntologyError::EmptyValue { .. }), "{err:?}");
+        // The rejected concepts left no trace: the next id is 1 and the
+        // index names only `kept`.
+        let next = b.concept("next").synonyms(["b", "q"]).build().unwrap();
+        assert_eq!(next.index(), 1);
+        let o = b.finish().unwrap();
+        assert_eq!(o.names("a"), &[kept]);
+        assert_eq!(o.names("b"), &[next]);
+        assert_eq!(o.names("q"), &[next]);
+        assert!(o.names("c").is_empty());
+        assert_eq!(o.value_count(), 4);
     }
 
     #[test]

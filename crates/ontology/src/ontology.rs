@@ -282,8 +282,12 @@ impl Ontology {
     /// future work) without new machinery.
     pub fn inheritance_expansion(&self, theta: usize) -> Ontology {
         let mut expanded = self.clone();
-        // Collect per-concept expanded synonym lists first (reads the
-        // original structure), then rebuild the index.
+        // Collect per-concept expanded synonym lists (reading the original
+        // structure) and the new index together. Concepts go in id order,
+        // so a value's index entry ends in `c.id` exactly when `c`'s list
+        // already holds it: first occurrences only, in one pass, and every
+        // entry comes out sorted and distinct.
+        let mut index: HashMap<String, Vec<SenseId>> = HashMap::new();
         let mut new_synonyms: Vec<Vec<String>> = Vec::with_capacity(self.concepts.len());
         for c in &self.concepts {
             let mut values: Vec<String> = Vec::new();
@@ -292,7 +296,9 @@ impl Ontology {
             while let Some((cur, depth)) = stack.pop() {
                 let concept = &self.concepts[cur.index()];
                 for v in &concept.synonyms {
-                    if !values.contains(v) {
+                    let senses = index.entry(v.clone()).or_default();
+                    if senses.last() != Some(&c.id) {
+                        senses.push(c.id);
                         values.push(v.clone());
                     }
                 }
@@ -303,16 +309,6 @@ impl Ontology {
                 }
             }
             new_synonyms.push(values);
-        }
-        let mut index: HashMap<String, Vec<SenseId>> = HashMap::new();
-        for (i, values) in new_synonyms.iter().enumerate() {
-            for v in values {
-                index.entry(v.clone()).or_default().push(SenseId::from_index(i));
-            }
-        }
-        for senses in index.values_mut() {
-            senses.sort_unstable();
-            senses.dedup();
         }
         for (concept, values) in expanded.concepts.iter_mut().zip(new_synonyms) {
             concept.synonyms = values;
@@ -557,6 +553,51 @@ mod tests {
         // the root ancestor within θ = 1.
         assert!(!e1.common_sense(["ibuprofen", "cartia"]).is_empty());
         assert!(o.common_sense(["ibuprofen", "cartia"]).is_empty());
+    }
+
+    /// A 100 000-synonym concept parses, and its θ-expansion equals a
+    /// set-based reference, synonym lists and index alike.
+    #[test]
+    fn wide_concepts_parse_and_expand_in_linear_time() {
+        use std::collections::HashSet;
+        let wide: Vec<String> = (0..100_000).map(|i| format!("v{i}")).collect();
+        let mut text = String::from("ONTO v1\nC - -\troot\tshared\tv7\n");
+        text.push_str(&format!("C 0 -\twide\t{}\n", wide.join("\t")));
+        text.push_str("C 1 -\tleaf\tv3\tshared\tleaf-only\n");
+        let o = crate::parse_ontology(&text).expect("a wide concept parses");
+        assert_eq!(
+            o.synonyms(SenseId::from_index(1)).unwrap().len(),
+            wide.len()
+        );
+        for theta in 0..3 {
+            let expanded = o.inheritance_expansion(theta);
+            let mut index: HashMap<&str, Vec<SenseId>> = HashMap::new();
+            for c in o.concepts() {
+                let (mut seen, mut values) = (HashSet::new(), Vec::new());
+                let mut stack = vec![(c.id, 0)];
+                while let Some((cur, depth)) = stack.pop() {
+                    let concept = o.concept(cur).unwrap();
+                    for v in concept.synonyms() {
+                        if seen.insert(v.as_str()) {
+                            values.push(v.as_str());
+                            index.entry(v.as_str()).or_default().push(c.id);
+                        }
+                    }
+                    if depth < theta {
+                        stack.extend(concept.children().iter().map(|&k| (k, depth + 1)));
+                    }
+                }
+                assert_eq!(
+                    expanded.synonyms(c.id).unwrap(),
+                    values.as_slice(),
+                    "θ = {theta}"
+                );
+            }
+            assert_eq!(expanded.value_count(), index.len());
+            for (v, senses) in &index {
+                assert_eq!(expanded.names(v), senses.as_slice(), "θ = {theta}, {v}");
+            }
+        }
     }
 
     #[test]

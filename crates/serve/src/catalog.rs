@@ -31,8 +31,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ofd_core::{
-    fnv1a64, AttrSet, FaultPlan, Fingerprint, FxHashMap, Obs, ProductScratch, Relation,
-    SenseIndex, SnapshotStore, StrippedPartition,
+    fnv1a64, valid_stream_name, AttrSet, FaultPlan, Fingerprint, FxHashMap, Obs, ProductScratch,
+    Relation, SenseIndex, SnapshotStore, StrippedPartition,
 };
 use ofd_datagen::csv;
 use ofd_discovery::PartitionCache;
@@ -172,17 +172,6 @@ pub(crate) fn keyed_content(label: &str, csv_text: &str, onto_text: &str) -> Fin
     fp
 }
 
-/// Validates a dataset name: 1–64 chars of `[A-Za-z0-9_-]`. Dots are
-/// excluded on purpose — the snapshot store uses `.` to separate the
-/// stream name from the sequence number.
-pub fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-}
-
 /// Whether a stored catalog body is committed. Entries written before
 /// the two-phase scheme carry no flag and are treated as committed.
 fn is_committed(body: &Value) -> bool {
@@ -200,12 +189,20 @@ fn parse_reference(reference: &str) -> Result<(&str, Option<u64>), CatalogError>
         }
         None => (reference, None),
     };
-    if !valid_name(name) {
-        return Err(CatalogError::BadRequest(format!(
+    Ok((checked_name(name)?, version))
+}
+
+/// `name` if it is a valid dataset name: a snapshot stream name
+/// ([`valid_stream_name`]), since each dataset is one stream of the
+/// catalog's store.
+fn checked_name(name: &str) -> Result<&str, CatalogError> {
+    if valid_stream_name(name) {
+        Ok(name)
+    } else {
+        Err(CatalogError::BadRequest(format!(
             "bad dataset name {name:?}: expected 1-64 chars of [A-Za-z0-9_-]"
-        )));
+        )))
     }
-    Ok((name, version))
 }
 
 /// The persistent catalog; cheap to clone handles via [`Arc`].
@@ -363,11 +360,7 @@ impl Catalog {
         version: u64,
         committed: bool,
     ) -> Result<Arc<CatalogEntry>, CatalogError> {
-        if !valid_name(name) {
-            return Err(CatalogError::BadRequest(format!(
-                "bad dataset name {name:?}: expected 1-64 chars of [A-Za-z0-9_-]"
-            )));
-        }
+        checked_name(name)?;
         let body = json!({
             "name": name,
             "version": version,
@@ -430,11 +423,7 @@ impl Catalog {
     /// version* from *unreachable* is what lets quorum confirmation
     /// declare a version torn instead of merely unknown.
     pub fn stat(&self, name: &str, version: u64) -> Result<(bool, bool), CatalogError> {
-        if !valid_name(name) {
-            return Err(CatalogError::BadRequest(format!(
-                "bad dataset name {name:?}: expected 1-64 chars of [A-Za-z0-9_-]"
-            )));
-        }
+        checked_name(name)?;
         match self
             .store
             .load_seq(name, version)
@@ -451,11 +440,7 @@ impl Catalog {
     /// the same atomic tmp+rename path as the original write. Returns
     /// whether the flag actually flipped.
     pub fn commit_version(&self, name: &str, version: u64) -> Result<bool, CatalogError> {
-        if !valid_name(name) {
-            return Err(CatalogError::BadRequest(format!(
-                "bad dataset name {name:?}: expected 1-64 chars of [A-Za-z0-9_-]"
-            )));
-        }
+        checked_name(name)?;
         let Some(loaded) = self
             .store
             .load_seq(name, version)
@@ -488,11 +473,7 @@ impl Catalog {
     /// a file was actually removed; deleting an absent version is a
     /// no-op, keeping rollback idempotent.
     pub fn delete_version(&self, name: &str, version: u64) -> Result<bool, CatalogError> {
-        if !valid_name(name) {
-            return Err(CatalogError::BadRequest(format!(
-                "bad dataset name {name:?}: expected 1-64 chars of [A-Za-z0-9_-]"
-            )));
-        }
+        checked_name(name)?;
         self.interned
             .lock()
             .expect("catalog intern lock")
@@ -508,11 +489,7 @@ impl Catalog {
     /// a peer that missed the replicated write can install the entry
     /// verbatim.
     pub fn snapshot_payload(&self, name: &str, version: u64) -> Result<Value, CatalogError> {
-        if !valid_name(name) {
-            return Err(CatalogError::BadRequest(format!(
-                "bad dataset name {name:?}: expected 1-64 chars of [A-Za-z0-9_-]"
-            )));
-        }
+        checked_name(name)?;
         let loaded = self
             .store
             .load_seq(name, version)

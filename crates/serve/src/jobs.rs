@@ -306,17 +306,22 @@ impl<'a> Inputs<'a> {
 /// `--ofd` flag.
 fn parse_ofds(body: &Value, schema: &Schema) -> Result<Vec<Ofd>, BadRequest> {
     let theta = opt_u64(body, "theta")?.map(|t| t as usize);
-    let specs = field(body, "ofds")
-        .and_then(Value::as_array)
+    let strings = ofds_strings(body)?
         .ok_or_else(|| BadRequest("missing required array field \"ofds\"".into()))?;
-    let mut strings = Vec::with_capacity(specs.len());
-    for spec in specs {
-        strings.push(
-            spec.as_str()
-                .ok_or_else(|| BadRequest("\"ofds\" entries must be strings".into()))?,
-        );
-    }
     parse_spec_list(&strings, theta, schema)
+}
+
+/// The `"ofds"` array's spec strings, or `None` when the body has no
+/// `"ofds"` array.
+pub(crate) fn ofds_strings(body: &Value) -> Result<Option<Vec<&str>>, BadRequest> {
+    let Some(specs) = field(body, "ofds").and_then(Value::as_array) else {
+        return Ok(None);
+    };
+    let strings = specs.iter().map(|spec| {
+        spec.as_str()
+            .ok_or_else(|| BadRequest("\"ofds\" entries must be strings".into()))
+    });
+    strings.collect::<Result<_, _>>().map(Some)
 }
 
 /// Parses `"A,B->C"` spec strings into [`Ofd`]s (inheritance when `theta`

@@ -138,6 +138,8 @@ pub(crate) fn fetch_and_install(
             ) else {
                 continue;
             };
+            // The name comes from the peer; `save` refuses any that is
+            // not a plain stream name, so no file lands outside `store`.
             if store.save(name, seq, body).is_ok() {
                 installed += 1;
             }
@@ -229,6 +231,54 @@ mod tests {
 
         let _ = std::fs::remove_dir_all(&src_dir);
         let _ = std::fs::remove_dir_all(&dst_dir);
+    }
+
+    #[test]
+    fn shipped_names_cannot_leave_the_store() {
+        let root = std::env::temp_dir().join(format!("ofd-peers-names-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dst_dir = root.join("job-0123456789abcdef");
+        // The directories a traversal would aim at exist, as another
+        // job's would.
+        let sibling = root.join("job-fedcba9876543210");
+        let absolute = root.join("planted");
+        std::fs::create_dir_all(&sibling).expect("sibling job dir");
+        std::fs::create_dir_all(&absolute).expect("absolute target dir");
+        let empty = |dir: &std::path::Path| std::fs::read_dir(dir).expect("dir").next().is_none();
+        let files: Vec<Value> = [
+            "../job-fedcba9876543210/discovery".to_owned(),
+            absolute.join("discovery").display().to_string(),
+        ]
+        .iter()
+        .map(|name| serde_json::json!({"name": name, "seq": 7, "body": {"level": 1}}))
+        .collect();
+        let body = serde_json::json!({ "files": files }).to_string();
+
+        // A scripted peer ships the bundle through the real client path.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut buf = [0u8; 4096];
+            let _ = conn.read(&mut buf);
+            let reply = format!(
+                "HTTP/1.1 200 OK\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{body}",
+                body.len()
+            );
+            conn.write_all(reply.as_bytes()).expect("reply");
+        });
+        let dst = SnapshotStore::new(&dst_dir);
+        let installed = fetch_and_install(
+            &[addr],
+            "/v1/jobs/00/snapshot",
+            &dst,
+            &PeerTimeouts::default(),
+        );
+        server.join().expect("server thread");
+        assert_eq!(installed, 0, "no shipped file had a plain stream name");
+        assert!(empty(&sibling), "nothing landed in the sibling job");
+        assert!(empty(&absolute), "nothing landed at the absolute path");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

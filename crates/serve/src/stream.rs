@@ -37,7 +37,8 @@ use ofd_ontology::Ontology;
 use serde_json::{json, Value};
 
 use crate::jobs::{
-    field, opt_f64, opt_u64, parse_spec_list, Inputs, JobContext, JobError, JobOutcome,
+    field, ofds_strings, opt_f64, opt_u64, parse_spec_list, Inputs, JobContext, JobError,
+    JobOutcome,
 };
 
 /// Counters owned by the streaming layer, touched at server bind so the
@@ -208,6 +209,41 @@ struct Session {
 }
 
 impl Session {
+    /// The one session constructor, for fresh opens and snapshot rebuilds
+    /// alike: Σ parsed from `specs` over the base relation and ontology,
+    /// the sense index and the incremental checker over them, and an
+    /// empty edit log at sequence 0. An empty `specs` (a discovery that
+    /// found no OFD, or its snapshot) is an empty Σ.
+    fn build(
+        key: u64,
+        (rel, onto): (Relation, Ontology),
+        theta: Option<usize>,
+        specs: Vec<String>,
+        store: Option<SnapshotStore>,
+    ) -> Result<Session, JobError> {
+        let sigma = if specs.is_empty() {
+            Vec::new()
+        } else {
+            let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
+            parse_spec_list(&refs, theta, rel.schema()).map_err(JobError::from)?
+        };
+        let index = build_index(&rel, &onto, theta);
+        let checker = IncrementalChecker::new(&rel, &index, &sigma);
+        Ok(Session {
+            fingerprint: key,
+            rel,
+            onto,
+            index,
+            theta,
+            specs,
+            checker,
+            edits: Vec::new(),
+            seq: 0,
+            store,
+            resumed_from: None,
+        })
+    }
+
     fn id(&self) -> String {
         format!("stream-{:016x}", self.fingerprint)
     }
@@ -517,20 +553,13 @@ fn open_session(
     let theta = opt_u64(body, "theta").map_err(JobError::from)?.map(|t| t as usize);
     let (rel, onto) = base.parse()?;
     let (rel, onto) = (rel.into_owned(), onto.into_owned());
-    let specs: Vec<String> = match field(body, "ofds").and_then(Value::as_array) {
-        Some(raw) => {
-            let mut strings = Vec::with_capacity(raw.len());
-            for s in raw {
-                strings.push(
-                    s.as_str()
-                        .ok_or_else(|| JobError::BadRequest("\"ofds\" entries must be strings".into()))?,
-                );
-            }
-            // Validate now so a bad spec is a 400 at open, then keep the
-            // normalized strings for the snapshot.
-            parse_spec_list(&strings, theta, rel.schema()).map_err(JobError::from)?;
-            strings.iter().map(|s| s.to_string()).collect()
+    let specs: Vec<String> = match ofds_strings(body).map_err(JobError::from)? {
+        // An explicit Σ must name at least one OFD; only discovery may
+        // leave it empty.
+        Some(strings) if strings.is_empty() => {
+            return Err(JobError::BadRequest("\"ofds\" must not be empty".into()))
         }
+        Some(strings) => strings.iter().map(|s| s.to_string()).collect(),
         None => {
             let mut opts = DiscoveryOptions::new()
                 .guard(ctx.guard.clone())
@@ -574,27 +603,7 @@ fn open_session(
         }
     };
 
-    let sigma = if specs.is_empty() {
-        Vec::new()
-    } else {
-        let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-        parse_spec_list(&refs, theta, rel.schema()).map_err(JobError::from)?
-    };
-    let index = build_index(&rel, &onto, theta);
-    let checker = IncrementalChecker::new(&rel, &index, &sigma);
-    let sess = Session {
-        fingerprint: key,
-        rel,
-        onto,
-        index,
-        theta,
-        specs,
-        checker,
-        edits: Vec::new(),
-        seq: 0,
-        store,
-        resumed_from: None,
-    };
+    let sess = Session::build(key, (rel, onto), theta, specs, store)?;
     ctx.obs.inc("serve.stream.sessions");
     // Seed snapshot: persists Σ so a resume never re-runs discovery.
     if let Some(store) = &sess.store {
@@ -629,27 +638,7 @@ fn rebuild(
         .unwrap_or_default();
     let (rel, onto) = base.parse()?;
     let (rel, onto) = (rel.into_owned(), onto.into_owned());
-    let sigma = if specs.is_empty() {
-        Vec::new()
-    } else {
-        let refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-        parse_spec_list(&refs, theta, rel.schema()).map_err(JobError::from)?
-    };
-    let index = build_index(&rel, &onto, theta);
-    let checker = IncrementalChecker::new(&rel, &index, &sigma);
-    let mut sess = Session {
-        fingerprint: key,
-        rel,
-        onto,
-        index,
-        theta,
-        specs,
-        checker,
-        edits: Vec::new(),
-        seq: 0,
-        store: None,
-        resumed_from: None,
-    };
+    let mut sess = Session::build(key, (rel, onto), theta, specs, None)?;
     let edits = snap
         .get("edits")
         .and_then(Value::as_array)
@@ -1172,6 +1161,54 @@ mod tests {
         assert!(outcome.incomplete);
         assert_eq!(v.get("session"), Some(&Value::Null));
         assert!(c.sessions.is_empty(), "no partial-Σ session may exist");
+    }
+
+    /// A discovery that finds no OFD opens a session with an empty Σ
+    /// (`max_level: 0` stops before the first level), and a restart
+    /// rebuilds that session from its snapshot. An explicit empty
+    /// `"ofds"` list stays a 400.
+    #[test]
+    fn an_empty_discovered_sigma_opens_and_resumes() {
+        let tmp = std::env::temp_dir().join("ofd-stream-empty-sigma-test");
+        let _ = std::fs::remove_dir_all(&tmp);
+        let (mut base, ds) = sample_body();
+        if let Value::Object(fields) = &mut base {
+            fields.retain(|(k, _)| k != "ofds");
+        }
+        let row = |r: usize| -> Vec<String> {
+            ds.clean.row_texts(r).iter().map(|s| s.to_string()).collect()
+        };
+        let mut c = ctx();
+        c.checkpoint_root = Some(tmp.clone());
+        let body = with_ops(&base, &[("max_level", json!(0)), ("rows", json!([row(3)]))]);
+        let (v1, _) = append(&body, &c).expect("an empty discovered Σ opens");
+        assert_eq!(v1.get("sigma"), Some(&json!([])));
+        assert_eq!(v1.get("violations").and_then(Value::as_u64), Some(0));
+
+        // Restart: fresh session table, same checkpoint root.
+        let mut c2 = ctx();
+        c2.checkpoint_root = Some(tmp.clone());
+        let body2 = with_ops(&base, &[("max_level", json!(0)), ("rows", json!([row(4)]))]);
+        let (v2, outcome2) = append(&body2, &c2).expect("resumed append");
+        assert!(outcome2.resumed, "rebuilt from the empty-Σ snapshot");
+        assert_eq!(v2.get("resumed_from_seq").and_then(Value::as_u64), Some(1));
+        assert_eq!(v2.get("sigma"), Some(&json!([])));
+        assert_eq!(
+            v2.get("n_rows").and_then(Value::as_u64),
+            Some(ds.clean.n_rows() as u64 + 2)
+        );
+        let snap = c2.obs.snapshot();
+        assert_eq!(snap.counter("serve.stream.resumed"), Some(1));
+        assert_eq!(snap.counter("serve.stream.replay_failed"), None);
+
+        let explicit = with_ops(&base, &[("ofds", json!([])), ("rows", json!([row(5)]))]);
+        match append(&explicit, &ctx()) {
+            Err(JobError::BadRequest(msg)) => {
+                assert!(msg.contains("must not be empty"), "actual: {msg}")
+            }
+            other => panic!("an explicit empty Σ must 400, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 
     /// A session id names persisted state: its `stream-*` checkpoint

@@ -9,10 +9,11 @@
 //! state never reflects a half-finished phase either way.
 
 use fastofd::clean::{ofd_clean, OfdCleanConfig};
-use fastofd::core::{CheckpointOptions, ExecGuard, FaultPlan, Interrupt, Obs};
+use fastofd::core::{CheckpointOptions, ExecGuard, FaultPlan, Interrupt, Obs, SnapshotStore};
 use fastofd::datagen::{clinical, PresetConfig};
 use fastofd::discovery::{DiscoveryOptions, FastOfd};
 use proptest::prelude::*;
+use serde_json::Value;
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -111,6 +112,160 @@ proptest! {
             },
         );
         prop_assert!(resumed.complete);
+        prop_assert_eq!(resumed.repaired.cell_distance(&reference.repaired).unwrap(), 0);
+        prop_assert_eq!(&resumed.data_repairs, &reference.data_repairs);
+        prop_assert_eq!(&resumed.ontology_adds, &reference.ontology_adds);
+        prop_assert_eq!(resumed.satisfied, reference.satisfied);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A snapshot body's `key` field.
+fn field<'a>(body: &'a mut Value, key: &str) -> &'a mut Value {
+    match body {
+        Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).expect(key).1,
+        other => panic!("{key}: {other} is not an object"),
+    }
+}
+
+fn items(value: &mut Value) -> &mut Vec<Value> {
+    match value {
+        Value::Array(items) => items,
+        other => panic!("{other} is not an array"),
+    }
+}
+
+/// Re-saves `body` as the newest snapshot of `stream`: `save` re-envelopes
+/// it, exactly as a receiver installs a shipped body, so only `restore`
+/// stands between the edited ids and the engine.
+fn plant(dir: &std::path::Path, stream: &str, body: &Value) {
+    SnapshotStore::new(dir)
+        .save(stream, 99, body)
+        .expect("plant the edited body");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Discovery: a real level snapshot with one attribute id moved past
+    /// |R| (a frontier node or C+ bit, a Σ antecedent bit or consequent)
+    /// and its fingerprint kept. Resuming must reject it — counted, no
+    /// panic — and answer exactly as a fresh run.
+    #[test]
+    fn discovery_rejects_ids_outside_the_schema(
+        seed in 0u64..1_000,
+        rows in 60usize..120,
+        pick in 0usize..64,
+        target in 0usize..4,
+        high in 0u32..64,
+    ) {
+        let ds = dataset(rows, seed);
+        let n = ds.relation.n_attrs();
+        let base = || DiscoveryOptions::new().max_level(3);
+        let reference = FastOfd::new(&ds.relation, &ds.ontology).options(base()).run();
+        let dir = temp_dir(&format!("disc_ids_{seed}_{rows}_{pick}_{target}_{high}"));
+        FastOfd::new(&ds.relation, &ds.ontology)
+            .options(base().checkpoint(CheckpointOptions::new(&dir)))
+            .run();
+        let store = SnapshotStore::new(&dir);
+        let seqs = store.versions("discovery").expect("versions");
+        let seq = seqs[pick % seqs.len()];
+        let mut body = store.load_seq("discovery", seq).expect("load").expect("present").body;
+        let bit = 1u64 << (n as u32 + high % (64 - n as u32));
+        let sigma_empty = items(field(&mut body, "sigma")).is_empty();
+        let frontier_empty = items(field(&mut body, "frontier")).is_empty();
+        if sigma_empty && frontier_empty {
+            return; // a converged run's last snapshot names no id
+        }
+        let (list, key) = match target {
+            0 | 1 if !frontier_empty => ("frontier", ["attrs", "c_plus"][target]),
+            _ if !sigma_empty => ("sigma", ["lhs", "rhs"][target % 2]),
+            _ => ("frontier", "attrs"),
+        };
+        let entries = items(field(&mut body, list));
+        let len = entries.len();
+        let id = field(&mut entries[pick % len], key);
+        *id = match key {
+            "rhs" => Value::from(n as u64 + u64::from(high) * (1 << 34) / 63),
+            _ => Value::from(id.as_u64().expect("bits") | bit),
+        };
+        plant(&dir, "discovery", &body);
+
+        let obs = Obs::enabled();
+        let resumed = FastOfd::new(&ds.relation, &ds.ontology)
+            .options(base().obs(obs.clone()).checkpoint(CheckpointOptions::new(&dir).resume(true)))
+            .run();
+        prop_assert_eq!(obs.snapshot().counter("discovery.resume.rejected"), Some(1));
+        prop_assert!(resumed.resumed_from_level.is_none());
+        prop_assert_eq!(&resumed.ofds, &reference.ofds);
+        for (r, f) in resumed.ofds.iter().zip(reference.ofds.iter()) {
+            prop_assert_eq!(r.support.to_bits(), f.support.to_bits());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// OFDClean: a real phase-2 or phase-3 snapshot with one sense id moved
+    /// past |S| (an assignment cell or a plan addition) or its Pareto list
+    /// emptied, fingerprint kept. Resuming must reject it — counted, no
+    /// panic — and repair exactly as a fresh run.
+    #[test]
+    fn clean_rejects_ids_outside_the_ontology(
+        seed in 0u64..1_000,
+        rows in 60usize..120,
+        pick in 0usize..256,
+        target in 0usize..3,
+        high in 0u64..(1 << 40),
+    ) {
+        let ds = dataset(rows, seed);
+        let reference = ofd_clean(&ds.relation, &ds.ontology, &ds.ofds, &OfdCleanConfig::default());
+        let dir = temp_dir(&format!("clean_ids_{seed}_{rows}_{pick}_{target}"));
+        let checkpointed = OfdCleanConfig {
+            checkpoint: Some(CheckpointOptions::new(&dir)),
+            ..OfdCleanConfig::default()
+        };
+        ofd_clean(&ds.relation, &ds.ontology, &ds.ofds, &checkpointed);
+        let store = SnapshotStore::new(&dir);
+        let seq = [2, 3][pick % 2];
+        let mut body = store.load_seq("clean", seq).expect("load").expect("present").body;
+        let bad = Value::from(ds.ontology.len() as u64 + high);
+        // Every sense id slot of the body: assignment cells, then plan adds.
+        let mut cells: Vec<(usize, usize)> = Vec::new();
+        for (i, row) in items(field(&mut body, "assignment")).iter().enumerate() {
+            cells.extend((0..row.as_array().expect("row").len()).map(|j| (i, j)));
+        }
+        let plan = field(&mut body, "plan");
+        let mut adds: Vec<(&str, usize, usize)> = Vec::new();
+        adds.extend((0..items(field(plan, "candidates")).len()).map(|i| ("candidates", i, 0)));
+        for list in ["frontier", "pareto"] {
+            for (i, point) in items(field(plan, list)).iter_mut().enumerate() {
+                adds.extend((0..items(field(point, "adds")).len()).map(|j| (list, i, j)));
+            }
+        }
+        match target {
+            0 | 1 if !cells.is_empty() && (target == 0 || adds.is_empty()) => {
+                let (i, j) = cells[pick % cells.len()];
+                items(&mut items(field(&mut body, "assignment"))[i])[j] = bad;
+            }
+            1 => {
+                let (list, i, j) = adds[pick % adds.len()];
+                let pair = match list {
+                    "candidates" => &mut items(field(plan, list))[i],
+                    _ => &mut items(field(&mut items(field(plan, list))[i], "adds"))[j],
+                };
+                items(pair)[1] = bad;
+            }
+            _ => items(field(plan, "pareto")).clear(),
+        }
+        plant(&dir, "clean", &body);
+
+        let config = OfdCleanConfig {
+            checkpoint: Some(CheckpointOptions::new(&dir).resume(true)),
+            obs: Obs::enabled(),
+            ..OfdCleanConfig::default()
+        };
+        let resumed = ofd_clean(&ds.relation, &ds.ontology, &ds.ofds, &config);
+        prop_assert_eq!(config.obs.snapshot().counter("clean.resume.rejected"), Some(1));
+        prop_assert!(resumed.resumed_from_phase.is_none());
         prop_assert_eq!(resumed.repaired.cell_distance(&reference.repaired).unwrap(), 0);
         prop_assert_eq!(&resumed.data_repairs, &reference.data_repairs);
         prop_assert_eq!(&resumed.ontology_adds, &reference.ontology_adds);
