@@ -21,7 +21,11 @@
 //! numbers are never mistaken for same-host history. Entries recorded since
 //! `min_support` was added also store the run's deterministic counts:
 //! `candidates`, `verified`, and the partition cache's `products`,
-//! `cache_hits` and `cache_misses`.
+//! `cache_hits` and `cache_misses`; entries recorded since the sampler's
+//! counts were added also store `sample_pruned` (candidates the sample
+//! oracle refuted) and `evidence_pairs` (sampled pairs with a witness).
+//! The counts come from one extra untimed run with metrics on, so the
+//! timed repeats run exactly as before.
 //!
 //! Entries that measure a sequential reference (`sequential_wall_ms`) also
 //! record `speedup` — the plain sequential engine (threads=1, sampling
@@ -41,6 +45,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use ofd_core::Obs;
 use ofd_datagen::{named, Dataset, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
 use serde_json::{json, Value};
@@ -132,19 +137,22 @@ struct Measured {
     ofds: usize,
     peak_partition_bytes: u64,
     cache_hit_rate: f64,
-    /// In [`COUNT_FIELDS`] order.
-    counts: [u64; 5],
 }
 
 /// The stored counts, by entry field name. They are deterministic for the
 /// entry's knobs: the same on any host and at any thread count.
-const COUNT_FIELDS: [&str; 5] = [
+const COUNT_FIELDS: [&str; 7] = [
     "candidates",
     "verified",
     "products",
     "cache_hits",
     "cache_misses",
+    "sample_pruned",
+    "evidence_pairs",
 ];
+
+/// One entry's counts, in [`COUNT_FIELDS`] order.
+type Counts = [u64; COUNT_FIELDS.len()];
 
 struct Knobs {
     min_support: f64,
@@ -154,6 +162,16 @@ struct Knobs {
     repeats: usize,
 }
 
+impl Knobs {
+    fn options(&self) -> DiscoveryOptions {
+        DiscoveryOptions::new()
+            .min_support(self.min_support)
+            .max_level(self.max_level)
+            .threads(self.threads)
+            .sample_rounds(self.sample_rounds)
+    }
+}
+
 /// Runs the workload `repeats` times and keeps the fastest wall time (the
 /// standard noise-rejection choice for regression gates).
 fn measure(ds: &Dataset, k: &Knobs) -> Measured {
@@ -161,13 +179,7 @@ fn measure(ds: &Dataset, k: &Knobs) -> Measured {
     for _ in 0..k.repeats.max(1) {
         let start = Instant::now();
         let result = FastOfd::new(&ds.clean, &ds.full_ontology)
-            .options(
-                DiscoveryOptions::new()
-                    .min_support(k.min_support)
-                    .max_level(k.max_level)
-                    .threads(k.threads)
-                    .sample_rounds(k.sample_rounds),
-            )
+            .options(k.options())
             .run();
         let wall_ms = start.elapsed().as_millis() as u64;
         assert!(result.complete, "pinned workload must run to completion");
@@ -182,19 +194,35 @@ fn measure(ds: &Dataset, k: &Knobs) -> Measured {
             } else {
                 cs.hits as f64 / lookups as f64
             },
-            counts: [
-                result.stats.total_candidates() as u64,
-                result.stats.total_verified() as u64,
-                cs.products,
-                cs.hits,
-                cs.misses,
-            ],
         };
         if best.as_ref().is_none_or(|b| m.wall_ms < b.wall_ms) {
             best = Some(m);
         }
     }
     best.expect("at least one repeat")
+}
+
+/// The workload's counts, from one untimed run with metrics on: the
+/// sampler's counts exist only as metrics, and the timed repeats stay
+/// without them.
+fn count(ds: &Dataset, k: &Knobs) -> Counts {
+    let obs = Obs::enabled();
+    let result = FastOfd::new(&ds.clean, &ds.full_ontology)
+        .options(k.options().obs(obs.clone()))
+        .run();
+    assert!(result.complete, "pinned workload must run to completion");
+    let cs = result.stats.cache.expect("cache on by default");
+    let m = obs.snapshot();
+    let sampled = |name: &str| m.counter(name).expect("sample counters are always emitted");
+    [
+        result.stats.total_candidates() as u64,
+        result.stats.total_verified() as u64,
+        cs.products,
+        cs.hits,
+        cs.misses,
+        sampled("discovery.sample.candidates_pruned"),
+        sampled("discovery.sample.evidence_pairs"),
+    ]
 }
 
 fn generate(preset: &str) -> Option<(Dataset, PresetConfig)> {
@@ -222,6 +250,7 @@ fn record_entry(e: &EntryConfig) -> Value {
         repeats: e.repeats,
     };
     let m = measure(&ds, &knobs);
+    let counts = count(&ds, &knobs);
     let mut sequential_wall_ms: Option<u64> = None;
     let mut speedup: Option<f64> = None;
     if e.measure_sequential {
@@ -274,7 +303,7 @@ fn record_entry(e: &EntryConfig) -> Value {
         fields.extend(
             COUNT_FIELDS
                 .iter()
-                .zip(m.counts)
+                .zip(counts)
                 .map(|(field, count)| (field.to_string(), Value::from(count))),
         );
     }
@@ -284,7 +313,7 @@ fn record_entry(e: &EntryConfig) -> Value {
 /// The first stored count of `entry` that differs from `measured`
 /// (in [`COUNT_FIELDS`] order), as a failure reason. Counts an entry does
 /// not store are not compared.
-fn count_drift(name: &str, entry: &Value, measured: &[u64; 5]) -> Option<String> {
+fn count_drift(name: &str, entry: &Value, measured: &Counts) -> Option<String> {
     COUNT_FIELDS.iter().zip(measured).find_map(|(field, &got)| {
         let stored = entry.get(field).and_then(Value::as_u64)?;
         (stored != got)
@@ -338,6 +367,7 @@ fn check_entry(
     let base_ofds = field("ofds")?;
     let budget_ms = entry.get("budget_ms").and_then(Value::as_u64);
     let m = measure(&ds, &knobs);
+    let counts = count(&ds, &knobs);
     let (limit_ms, gate) = match budget_ms {
         Some(b) => (b as f64, "budget"),
         None => (
@@ -356,14 +386,14 @@ fn check_entry(
         limit_ms,
         m.ofds,
         base_ofds,
-        COUNT_FIELDS.iter().zip(m.counts).collect::<Vec<_>>()
+        COUNT_FIELDS.iter().zip(counts).collect::<Vec<_>>()
     );
     if m.ofds as u64 != base_ofds {
         return Err(format!(
             "{name}: |Σ| drifted from the baseline — fix correctness before perf"
         ));
     }
-    if let Some(reason) = count_drift(name, entry, &m.counts) {
+    if let Some(reason) = count_drift(name, entry, &counts) {
         return Err(reason);
     }
     if (m.wall_ms as f64) > limit_ms {
@@ -528,22 +558,40 @@ mod tests {
 
     #[test]
     fn stored_counts_gate_and_absent_ones_are_skipped() {
-        let counts = [4_253, 2_869, 1_000, 390, 1_425];
+        let counts = [5_565, 5_551, 14, 17, 10, 5_507, 299_955];
         let recorded = json!({
-            "name": "k95",
-            "candidates": 4_253u64,
-            "verified": 2_869u64,
-            "products": 1_000u64,
-            "cache_hits": 390u64,
-            "cache_misses": 1_425u64,
+            "name": "40k",
+            "candidates": 5_565u64,
+            "verified": 5_551u64,
+            "products": 14u64,
+            "cache_hits": 17u64,
+            "cache_misses": 10u64,
+            "sample_pruned": 5_507u64,
+            "evidence_pairs": 299_955u64,
         });
-        assert_eq!(count_drift("k95", &recorded, &counts), None);
+        assert_eq!(count_drift("40k", &recorded, &counts), None);
         let mut drifted = counts;
-        drifted[3] = 391;
+        drifted[3] = 18;
         assert_eq!(
-            count_drift("k95", &recorded, &drifted).as_deref(),
-            Some("k95: cache_hits drifted from the baseline (391 vs 390)")
+            count_drift("40k", &recorded, &drifted).as_deref(),
+            Some("40k: cache_hits drifted from the baseline (18 vs 17)")
         );
+        let mut drifted = counts;
+        drifted[5] = 5_506;
+        assert_eq!(
+            count_drift("40k", &recorded, &drifted).as_deref(),
+            Some("40k: sample_pruned drifted from the baseline (5506 vs 5507)")
+        );
+        // An entry recorded before the sampler's counts were stored gates
+        // on the five it has.
+        let mut older = recorded.clone();
+        if let Value::Object(fields) = &mut older {
+            fields.retain(|(field, _)| {
+                !["sample_pruned", "evidence_pairs"].contains(&field.as_str())
+            });
+        }
+        assert_eq!(older.get("cache_misses"), recorded.get("cache_misses"));
+        assert_eq!(count_drift("40k", &older, &drifted), None);
         // An entry recorded before counts were stored gates on |Σ| alone.
         assert_eq!(count_drift("old", &entry("old", 98), &drifted), None);
     }

@@ -53,8 +53,9 @@
 //! `--stream`: a seeded interleaving of `/v1/append` / `/v1/retract`
 //! edits against a checkpointed session, SIGKILLed mid-stream and resumed
 //! on a fresh process. Every reply must be byte-identical to an
-//! uninterrupted reference run of the same edit script, the final state
-//! must match a from-scratch validation of the final rows, and a stale
+//! uninterrupted reference run of the same edit script, the resumed
+//! session's persisted edit log must equal the reference's, the final
+//! state must match a from-scratch validation of the final rows, and a stale
 //! update must come back as a 409 that leaves the session usable.
 //!
 //! `--router`: the supervised fleet, all replicas sharing one
@@ -1082,10 +1083,24 @@ fn normalized_reply(mut reply: Value) -> String {
     serde_json::to_string(&reply).expect("serialize reply")
 }
 
+/// The newest edit log a stream session persisted under a server's
+/// checkpoint directory, read from disk (no request, so no counter moves).
+fn persisted_session(dir: &Path, reply: &Reply) -> Value {
+    let session = reply
+        .str("session")
+        .expect("stream replies name their session");
+    ofd_core::SnapshotStore::new(dir.join(session))
+        .load_latest("session")
+        .expect("read the session's snapshots")
+        .expect("the session persisted a snapshot")
+        .body
+}
+
 /// `--stream`: seeded edit soak with a mid-stream SIGKILL. The resumed
-/// run must be byte-identical to an uninterrupted reference, the final
-/// state must match from-scratch validation, and conflicts must be 409s
-/// that leave the session usable.
+/// run must be byte-identical to an uninterrupted reference, its persisted
+/// edit log must equal the reference's, the final state must match
+/// from-scratch validation, and conflicts must be 409s that leave the
+/// session usable.
 fn soak_stream(args: &Args) -> &'static str {
     let (ds, base) = stream_fixture(args.rows, args.seed);
     let schema = ds.clean.schema();
@@ -1094,10 +1109,16 @@ fn soak_stream(args: &Args) -> &'static str {
     let kill_at = rng.random_range(edits.len() as u64 / 4..(edits.len() as u64 * 3) / 4) as usize;
 
     // Reference: the full script against one uninterrupted server.
-    let server = Cluster::lone(ckpt_flags(args.dir.join("stream-ref"), None));
-    let reference: Vec<String> = edits
+    let ref_dir = args.dir.join("stream-ref");
+    let server = Cluster::lone(ckpt_flags(ref_dir.clone(), None));
+    let ref_replies: Vec<Reply> = edits
         .iter()
-        .map(|edit| normalized_reply(send_edit(server.addr(), &base, edit).body))
+        .map(|edit| send_edit(server.addr(), &base, edit))
+        .collect();
+    let ref_log = persisted_session(&ref_dir, ref_replies.last().expect("non-empty script"));
+    let reference: Vec<String> = ref_replies
+        .into_iter()
+        .map(|reply| normalized_reply(reply.body))
         .collect();
     let ref_metrics = metrics(server.addr());
     assert!(
@@ -1117,7 +1138,9 @@ fn soak_stream(args: &Args) -> &'static str {
     );
 
     // Soak: same script, SIGKILL between edits, resume on a new process.
-    let mut server = Cluster::lone(ckpt_flags(args.dir.join("stream-soak"), None));
+    let soak_dir = args.dir.join("stream-soak");
+    let mut server = Cluster::lone(ckpt_flags(soak_dir.clone(), None));
+    let mut last = None;
     for (i, edit) in edits.iter().enumerate() {
         if i == kill_at {
             server.kill(0);
@@ -1132,11 +1155,24 @@ fn soak_stream(args: &Args) -> &'static str {
             );
         }
         assert_eq!(
-            normalized_reply(reply.body),
+            normalized_reply(reply.body.clone()),
             reference[i],
             "edit {i} is byte-identical to the reference (SIGKILL before edit {kill_at})"
         );
+        last = Some(reply);
     }
+    // A resume that lost or repeated an edit can still answer every later
+    // edit alike (an update nothing reads again); the persisted log cannot.
+    let soak_log = persisted_session(&soak_dir, &last.expect("non-empty script"));
+    assert_eq!(
+        ref_log.get("edits").and_then(Value::as_array).map(Vec::len),
+        Some(edits.len()),
+        "the reference persisted one op per scripted edit"
+    );
+    assert!(
+        soak_log == ref_log,
+        "the resumed session persisted the reference's edit log (SIGKILL before edit {kill_at})"
+    );
 
     // Independent ground truth: replay the script on a local row mirror
     // and re-validate the final rows from scratch.

@@ -11,6 +11,7 @@
 //! edge weight.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use ofd_core::{AttrId, Relation, ValueId};
 use ofd_ontology::{Ontology, SenseId};
@@ -35,8 +36,9 @@ pub struct Edge {
     pub u: usize,
     /// Second endpoint.
     pub v: usize,
-    /// Overlapping tuple ids.
-    pub overlap: Vec<u32>,
+    /// Where the overlapping tuple ids sit in the graph's overlap buffer
+    /// ([`DepGraph::overlap`]).
+    pub overlap: Range<usize>,
     /// EMD between the overlap's distributions under the endpoints' senses.
     pub weight: f64,
 }
@@ -49,6 +51,8 @@ pub struct DepGraph {
     pub nodes: Vec<NodeRef>,
     /// Edges.
     pub edges: Vec<Edge>,
+    /// Every edge's overlapping tuple ids, edge after edge.
+    overlaps: Vec<u32>,
     /// Node `n`'s incident edges are `adj[adj_start[n]..adj_start[n + 1]]`,
     /// ascending.
     adj_start: Vec<usize>,
@@ -57,7 +61,7 @@ pub struct DepGraph {
 
 impl DepGraph {
     /// Indexes each node's incident edges, in edge order.
-    fn new(nodes: Vec<NodeRef>, edges: Vec<Edge>) -> Self {
+    fn new(nodes: Vec<NodeRef>, edges: Vec<Edge>, overlaps: Vec<u32>) -> Self {
         let mut adj_start = vec![0; nodes.len() + 1];
         for e in &edges {
             adj_start[e.u + 1] += 1;
@@ -77,9 +81,15 @@ impl DepGraph {
         DepGraph {
             nodes,
             edges,
+            overlaps,
             adj_start,
             adj,
         }
+    }
+
+    /// The tuple ids `edge`'s classes share, in the second class's order.
+    pub fn overlap(&self, edge: &Edge) -> &[u32] {
+        &self.overlaps[edge.overlap.clone()]
     }
 
     /// Edge indices incident to node `n`.
@@ -185,6 +195,7 @@ impl<'a> Weigher<'a> {
             }));
         }
         let mut edges = Vec::new();
+        let mut overlaps = Vec::new();
         // Tuple -> class of the pair's first OFD, reset after each pair.
         let mut owner = vec![NONE; self.rel.n_rows()];
         // (class of the first OFD, class of the second, tuple), in the
@@ -234,9 +245,10 @@ impl<'a> Weigher<'a> {
                 }
                 for group in sorted.chunk_by(|x, y| (x.0, x.1) == (y.0, y.1)) {
                     let (ci, cj) = (group[0].0 as usize, group[0].1 as usize);
-                    let overlap: Vec<u32> = group.iter().map(|&(_, _, t)| t).collect();
+                    let start = overlaps.len();
+                    overlaps.extend(group.iter().map(|&(_, _, t)| t));
                     let weight = self.weight(
-                        &overlap,
+                        &overlaps[start..],
                         a.ofd.rhs,
                         assignment.get(a.ofd_idx, ci),
                         assignment.get(b.ofd_idx, cj),
@@ -244,13 +256,13 @@ impl<'a> Weigher<'a> {
                     edges.push(Edge {
                         u: first_node[i] + ci,
                         v: first_node[j] + cj,
-                        overlap,
+                        overlap: start..overlaps.len(),
                         weight,
                     });
                 }
             }
         }
-        DepGraph::new(nodes, edges)
+        DepGraph::new(nodes, edges, overlaps)
     }
 
     /// EMD between the overlap's distributions under `su` and `sv`.
@@ -440,6 +452,7 @@ fn refine(
             if edge.weight <= theta {
                 continue;
             }
+            let overlap = graph.overlap(edge);
             let (nu, nv) = (graph.nodes[edge.u], graph.nodes[edge.v]);
             let su = assignment.get(nu.ofd_idx, nu.class_idx);
             let sv = assignment.get(nv.ofd_idx, nv.class_idx);
@@ -450,14 +463,14 @@ fn refine(
                 .ofd
                 .rhs;
 
-            let rho_u = outlier_values(rel, view, &edge.overlap, rhs, su);
-            let rho_v = outlier_values(rel, view, &edge.overlap, rhs, sv);
+            let rho_u = outlier_values(rel, view, overlap, rhs, su);
+            let rho_v = outlier_values(rel, view, overlap, rhs, sv);
 
             // Option (i): ontology repair — add each outlier to S.
             let cost_onto = (rho_u.len() + rho_v.len()) as f64;
             // Option (ii): data repair — update tuples carrying outliers.
             let count_tuples = |rho: &HashSet<ValueId>| {
-                edge.overlap
+                overlap
                     .iter()
                     .filter(|&&t| rho.contains(&rel.value(t as usize, rhs)))
                     .count()
@@ -503,7 +516,7 @@ fn refine(
                     let old = assignment.get(node.ofd_idx, node.class_idx);
                     assignment.set(node.ofd_idx, node.class_idx, Some(cand));
                     let new_weight = weigh(
-                        &edge.overlap,
+                        overlap,
                         rhs,
                         assignment.get(nu.ofd_idx, nu.class_idx),
                         assignment.get(nv.ofd_idx, nv.class_idx),
@@ -577,7 +590,7 @@ mod tests {
         for e in &g.edges {
             let (nu, nv) = (g.nodes[e.u], g.nodes[e.v]);
             assert_ne!(nu.ofd_idx, nv.ofd_idx, "edges span different OFDs");
-            assert!(!e.overlap.is_empty());
+            assert!(!g.overlap(e).is_empty());
             assert!(e.weight >= 0.0);
         }
     }
@@ -743,6 +756,7 @@ mod tests {
             }
         }
         let mut edges = Vec::new();
+        let mut buffer = Vec::new();
         let mut adj = vec![Vec::new(); nodes.len()];
         for (i, a) in classes.iter().enumerate() {
             for b in classes.iter().skip(i + 1) {
@@ -783,16 +797,18 @@ mod tests {
                     );
                     adj[u].push(edges.len());
                     adj[v].push(edges.len());
+                    let start = buffer.len();
+                    buffer.extend(overlap);
                     edges.push(Edge {
                         u,
                         v,
-                        overlap,
+                        overlap: start..buffer.len(),
                         weight,
                     });
                 }
             }
         }
-        (DepGraph::new(nodes, edges), adj)
+        (DepGraph::new(nodes, edges, buffer), adj)
     }
 
     fn reference_weight(
@@ -828,8 +844,8 @@ mod tests {
         assert_eq!(g.edges.len(), r.edges.len());
         for (e, f) in g.edges.iter().zip(&r.edges) {
             assert_eq!(
-                (e.u, e.v, &e.overlap, e.weight.to_bits()),
-                (f.u, f.v, &f.overlap, f.weight.to_bits())
+                (e.u, e.v, g.overlap(e), e.weight.to_bits()),
+                (f.u, f.v, r.overlap(f), f.weight.to_bits())
             );
         }
         for (n, adj) in r_adj.iter().enumerate() {

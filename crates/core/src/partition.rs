@@ -105,23 +105,29 @@ impl Partition {
             }
             many => {
                 // Two-pass refinement instead of Vec-keyed hashing: group
-                // by the first attribute, then refine group ids attribute
-                // by attribute — one (u32, ValueId) key per row per
-                // attribute, no per-row Vec allocation. Group ids are
-                // assigned densely in first-occurrence order.
-                let mut n_groups;
-                let mut group_of: Vec<u32> = {
-                    let mut ids: FxHashMap<ValueId, u32> = FxHashMap::default();
+                // by the first attribute through an array over the column's
+                // value-id range, then refine group ids attribute by
+                // attribute — one (u32, ValueId) key per row per attribute,
+                // no per-row Vec allocation. Group ids are assigned densely
+                // in first-occurrence order.
+                let (mut group_of, mut n_groups) = {
                     let col = rel.column(many[0]);
-                    let out = col
+                    let lo = col.iter().map(|v| v.index()).min().unwrap_or(0);
+                    let hi = col.iter().map(|v| v.index()).max().unwrap_or(0);
+                    let mut ids = vec![UNASSIGNED; hi - lo + 1];
+                    let mut next = 0u32;
+                    let out: Vec<u32> = col
                         .iter()
                         .map(|v| {
-                            let next = ids.len() as u32;
-                            *ids.entry(*v).or_insert(next)
+                            let id = &mut ids[v.index() - lo];
+                            if *id == UNASSIGNED {
+                                *id = next;
+                                next += 1;
+                            }
+                            *id
                         })
                         .collect();
-                    n_groups = ids.len();
-                    out
+                    (out, next as usize)
                 };
                 for a in &many[1..] {
                     let col = rel.column(*a);
@@ -215,12 +221,13 @@ pub struct StrippedPartition {
     n_rows: usize,
 }
 
-/// Reusable scratch buffers for [`StrippedPartition::product_with_scratch`],
-/// so repeated products during lattice traversal do not reallocate.
+/// Reusable scratch buffers for [`StrippedPartition::product_with_scratch`]
+/// and [`StrippedPartition::refine_with_scratch`], so repeated products
+/// during lattice traversal do not reallocate.
 ///
-/// Invariant between calls: every `probe` entry is `UNASSIGNED` and every
-/// `counts` entry is zero — each product resets exactly the entries it
-/// touched (O(‖Π*‖), not O(n)) before returning.
+/// Invariant between calls: every `probe` and `slot` entry is `UNASSIGNED`
+/// and every `counts` entry is zero — each call resets exactly the entries
+/// it touched (O(‖Π*‖), not O(n)) before returning.
 #[derive(Debug, Default)]
 pub struct ProductScratch {
     probe: Vec<u32>,
@@ -229,6 +236,10 @@ pub struct ProductScratch {
     touched: Vec<u32>,
     out_tuples: Vec<u32>,
     metas: Vec<ClassMeta>,
+    /// Value id → its group within the class being refined.
+    slot: Vec<u32>,
+    /// Per group of that class: its size, then its staging cursor.
+    sizes: Vec<u32>,
 }
 
 /// Per-output-class bookkeeping during a product: representative (smallest
@@ -436,7 +447,83 @@ impl StrippedPartition {
                 scratch.counts[p as usize] = 0;
             }
         }
-        // Canonical class order: sort by representative (distinct keys).
+        // Restore the probe invariant in O(||self||).
+        for &t in &self.tuples {
+            scratch.probe[t as usize] = UNASSIGNED;
+        }
+        self.emit_staged(scratch)
+    }
+
+    /// Π*_{X ∪ {a}} from this Π*_X and `attr`'s column of `rel`: every
+    /// class splits by its members' values. Equal to the product with
+    /// Π*_a, but reads only this partition's tuples, so it costs
+    /// O(‖Π*_X‖) however large Π*_a is.
+    pub fn refine_with_scratch(
+        &self,
+        rel: &Relation,
+        attr: AttrId,
+        scratch: &mut ProductScratch,
+    ) -> StrippedPartition {
+        debug_assert_eq!(self.n_rows, rel.n_rows());
+        let column = rel.column(attr);
+        if scratch.slot.len() < rel.pool().len() {
+            scratch.slot.resize(rel.pool().len(), UNASSIGNED);
+        }
+        scratch.out_tuples.clear();
+        scratch.metas.clear();
+        for class in self.classes() {
+            // Count pass: one group per distinct value, numbered in
+            // first-occurrence order.
+            scratch.touched.clear();
+            scratch.sizes.clear();
+            for &t in class {
+                let v = column[t as usize].index();
+                let group = &mut scratch.slot[v];
+                if *group == UNASSIGNED {
+                    *group = scratch.sizes.len() as u32;
+                    scratch.touched.push(v as u32);
+                    scratch.sizes.push(0);
+                }
+                scratch.sizes[*group as usize] += 1;
+            }
+            // Reserve a staging region per group of size ≥ 2.
+            for size in &mut scratch.sizes {
+                *size = if *size >= 2 {
+                    let start = scratch.out_tuples.len() as u32;
+                    scratch.metas.push(ClassMeta {
+                        first: 0,
+                        start,
+                        len: *size,
+                    });
+                    scratch
+                        .out_tuples
+                        .resize(scratch.out_tuples.len() + *size as usize, 0);
+                    start
+                } else {
+                    SKIP
+                };
+            }
+            // Scatter pass: members arrive in ascending order because the
+            // class is ascending.
+            for &t in class {
+                let group = scratch.slot[column[t as usize].index()] as usize;
+                let cur = scratch.sizes[group];
+                if cur != SKIP {
+                    scratch.out_tuples[cur as usize] = t;
+                    scratch.sizes[group] = cur + 1;
+                }
+            }
+            for &v in &scratch.touched {
+                scratch.slot[v as usize] = UNASSIGNED;
+            }
+        }
+        self.emit_staged(scratch)
+    }
+
+    /// The partition of the classes staged in `scratch`, in canonical
+    /// order: members already ascend within each class, so the classes
+    /// are sorted by representative (distinct keys).
+    fn emit_staged(&self, scratch: &mut ProductScratch) -> StrippedPartition {
         for m in &mut scratch.metas {
             m.first = scratch.out_tuples[m.start as usize];
         }
@@ -449,10 +536,6 @@ impl StrippedPartition {
                 &scratch.out_tuples[m.start as usize..(m.start + m.len) as usize],
             );
             offsets.push(tuples.len() as u32);
-        }
-        // Restore the probe invariant in O(||self||).
-        for &t in &self.tuples {
-            scratch.probe[t as usize] = UNASSIGNED;
         }
         StrippedPartition {
             tuples,
@@ -718,6 +801,26 @@ mod tests {
                 let reference = nested_reference_product(&pa, &pb);
                 let got: Vec<Vec<u32>> = csr.classes().map(<[u32]>::to_vec).collect();
                 prop_assert_eq!(got, reference);
+            }
+
+            /// Refining Π*_X by a column equals the direct Π*_{X ∪ {a}} and
+            /// the product with Π*_a, with one scratch reused throughout.
+            #[test]
+            fn refine_equals_direct_and_product(
+                rel in arb_relation(),
+                x in 0u64..16,
+                a in 0usize..4,
+                b in 0usize..4,
+            ) {
+                let mut scratch = ProductScratch::default();
+                let px = StrippedPartition::of(&rel, AttrSet::from_bits(x));
+                let (a, b) = (AttrId::from_index(a), AttrId::from_index(b));
+                for attr in [a, b, a] {
+                    let got = px.refine_with_scratch(&rel, attr, &mut scratch);
+                    let direct = StrippedPartition::of(&rel, AttrSet::from_bits(x).with(attr));
+                    prop_assert_eq!(&got, &direct);
+                    prop_assert_eq!(&got, &px.product(&StrippedPartition::of_attr(&rel, attr)));
+                }
             }
 
             /// Product is commutative and associative.

@@ -4,6 +4,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense identifier of an interned value within one [`ValuePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -31,10 +32,14 @@ impl fmt::Display for ValueId {
 }
 
 /// An append-only interner mapping strings to dense [`ValueId`]s.
+///
+/// Each value is allocated once and shared by the id-ordered list and the
+/// lookup map, so interning a new value allocates once and a clone of the
+/// pool copies no text.
 #[derive(Debug, Clone, Default)]
 pub struct ValuePool {
-    strings: Vec<String>,
-    lookup: HashMap<String, ValueId>,
+    strings: Vec<Arc<str>>,
+    lookup: HashMap<Arc<str>, ValueId>,
 }
 
 impl ValuePool {
@@ -49,8 +54,9 @@ impl ValuePool {
             return id;
         }
         let id = ValueId::from_index(self.strings.len());
-        self.strings.push(value.to_owned());
-        self.lookup.insert(value.to_owned(), id);
+        let value: Arc<str> = Arc::from(value);
+        self.strings.push(Arc::clone(&value));
+        self.lookup.insert(value, id);
         id
     }
 
@@ -86,7 +92,7 @@ impl ValuePool {
         self.strings
             .iter()
             .enumerate()
-            .map(|(i, s)| (ValueId::from_index(i), s.as_str()))
+            .map(|(i, s)| (ValueId::from_index(i), &**s))
     }
 }
 

@@ -7,11 +7,10 @@
 //! version's own column bytes). Lattice nodes own no partitions: each
 //! antecedent Π*_X that a data decision reads is produced through
 //! [`PartitionCache::produce`] when it is first read, which reuses a
-//! resident copy when one exists and otherwise computes the partition from
-//! the **cheapest available operand pair** — the two cached parents with
-//! the smallest `‖Π*‖`, one cached parent times its missing pinned level-1
-//! attribute partition, or (when no parent is resident) a chain of products
-//! over the pinned level-1 partitions of X. Because partitions are
+//! resident copy when one exists and otherwise computes the partition by
+//! one **product**: the cached parent with the smallest `‖Π*‖`, refined by
+//! its missing attribute's column, or (when no parent is resident) a chain
+//! of them from the pinned level-1 partitions of X. Because partitions are
 //! canonical by construction, every route yields byte-identical CSR arrays,
 //! so the budget can never change Σ.
 //!
@@ -27,7 +26,7 @@
 
 use std::sync::Arc;
 
-use ofd_core::{AttrSet, FxHashMap, Obs, ProductScratch, Relation, StrippedPartition};
+use ofd_core::{AttrId, AttrSet, FxHashMap, Obs, ProductScratch, Relation, StrippedPartition};
 
 /// Cache counters, exposed on [`crate::DiscoveryStats`] and as
 /// `discovery.partition.cache.*` metrics.
@@ -43,11 +42,11 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// High-water mark of resident bytes.
     pub peak_resident_bytes: u64,
-    /// Misses computed by one product of a resident parent with another
-    /// resident operand, emitted as `discovery.partition.products`. The
-    /// other `misses − products` were built from the pinned level-1
-    /// partitions alone (a chain of products when no parent was resident)
-    /// or, for `|X| < 2`, by a direct scan.
+    /// Every partition product the cache computed, emitted as
+    /// `discovery.partition.products`: one per miss built from a resident
+    /// parent, and each product of a chain over the level-1 partitions
+    /// (built when no parent was resident). Misses for `|X| < 2`, or whose
+    /// level-1 operands are not resident, are direct scans and count none.
     pub products: u64,
 }
 
@@ -158,8 +157,9 @@ impl PartitionCache {
         }
     }
 
-    /// Produces Π*_X, preferring (in order): the resident copy, a product of
-    /// the two cheapest resident operands, a direct computation. The result
+    /// Produces Π*_X, preferring (in order): the resident copy, the
+    /// cheapest resident parent refined by one column, a chain from the
+    /// pinned level-1 partitions, a direct computation. The result
     /// is (re-)inserted unpinned unless already resident. Every route yields
     /// the canonical `StrippedPartition::of(rel, attrs)`; `rel` must be the
     /// relation every resident partition was made from.
@@ -187,12 +187,10 @@ impl PartitionCache {
         part
     }
 
-    /// Computes Π*_X from the cheapest available operand pair: the resident
-    /// parent with the smallest `‖Π*‖`, paired with either the next-smallest
-    /// resident parent or its own missing level-1 attribute partition —
-    /// whichever is smaller. Falls back to [`PartitionCache::pinned_chain`]
-    /// when no parent is resident, and to a direct relation scan when
-    /// `|X| < 2`.
+    /// Computes Π*_X by refining the resident parent with the smallest
+    /// `‖Π*‖` by its missing attribute's column, which costs only that
+    /// parent's tuples. Falls back to [`PartitionCache::pinned_chain`] when
+    /// no parent is resident, and to a direct relation scan when `|X| < 2`.
     fn compute(
         &mut self,
         rel: &Relation,
@@ -202,68 +200,69 @@ impl PartitionCache {
         if attrs.len() < 2 {
             return StrippedPartition::of(rel, attrs);
         }
-        // Resident parents, cheapest first.
-        let mut parents: Vec<(usize, AttrSet, u64)> = attrs
+        let cheapest = attrs
             .parents()
-            .filter_map(|(a, p)| {
-                self.peek(p.bits())
-                    .map(|sp| (sp.tuple_count(), AttrSet::single(a), p.bits()))
-            })
-            .collect();
-        parents.sort_unstable_by_key(|&(cost, _, _)| cost);
-        let (left_bits, right_bits) = match parents.as_slice() {
-            [] => {
-                return self.pinned_chain(rel, attrs, scratch);
-            }
-            [(_, missing, p_bits), rest @ ..] => {
-                // Partner: next-cheapest parent vs the pinned level-1
-                // partition of this parent's missing attribute.
-                let attr_bits = missing.bits();
-                let attr_cost = self.peek(attr_bits).map(|sp| sp.tuple_count());
-                let parent2 = rest.first();
-                match (parent2, attr_cost) {
-                    (Some(&(c2, _, _)), Some(ca)) if ca < c2 => (*p_bits, attr_bits),
-                    (Some(&(_, _, p2)), _) => (*p_bits, p2),
-                    (None, Some(_)) => (*p_bits, attr_bits),
-                    (None, None) => {
-                        return self.pinned_chain(rel, attrs, scratch);
-                    }
-                }
-            }
+            .filter_map(|(a, p)| self.peek(p.bits()).map(|sp| (a, Arc::clone(sp))))
+            .min_by_key(|(_, sp)| sp.tuple_count());
+        let Some((missing, parent)) = cheapest else {
+            return self.pinned_chain(rel, attrs, scratch);
         };
-        let left = Arc::clone(self.peek(left_bits).expect("left operand resident"));
-        let right = Arc::clone(self.peek(right_bits).expect("right operand resident"));
         self.stats.products += 1;
-        left.product_with_scratch(&right, scratch)
+        parent.refine_with_scratch(rel, missing, scratch)
     }
 
-    /// Builds Π*_X (`|X| ≥ 2`) from the pinned level-1 partitions alone: a
-    /// chain of products, smallest `‖Π*‖` first, that stops at the first
-    /// empty product (X is then a superkey, and the empty partition is its
-    /// Π*). Falls back to a direct relation scan if an attribute partition
-    /// is not resident.
+    /// Builds Π*_X (`|X| ≥ 2`) from the level-1 partitions alone: the
+    /// smallest one, refined by X's other attributes in ascending `‖Π*‖`
+    /// order, stopping at the first empty partition (X is then a superkey,
+    /// and the empty partition is its Π*). Falls back to a direct relation
+    /// scan if an attribute partition is not resident.
+    ///
+    /// The chain's first product is the canonical Π* of X's two smallest
+    /// attributes. For `|X| ≥ 3` it is kept as an ordinary unpinned entry,
+    /// so a later chain over the same pair, or a later X′ with that pair as
+    /// a parent, starts from it instead of computing the pair again.
+    /// Keeping it is no lookup: hits and misses count only
+    /// [`PartitionCache::produce`]'s calls.
     fn pinned_chain(
-        &self,
+        &mut self,
         rel: &Relation,
         attrs: AttrSet,
         scratch: &mut ProductScratch,
     ) -> StrippedPartition {
         let Some(mut operands) = attrs
             .iter()
-            .map(|a| self.peek(AttrSet::single(a).bits()).map(Arc::clone))
-            .collect::<Option<Vec<Arc<StrippedPartition>>>>()
+            .map(|a| {
+                self.peek(AttrSet::single(a).bits())
+                    .map(|p| (a, Arc::clone(p)))
+            })
+            .collect::<Option<Vec<(AttrId, Arc<StrippedPartition>)>>>()
         else {
             return StrippedPartition::of(rel, attrs);
         };
-        operands.sort_by_key(|p| p.tuple_count());
-        let mut acc = operands[0].product_with_scratch(&operands[1], scratch);
-        for next in &operands[2..] {
+        operands.sort_by_key(|(_, p)| p.tuple_count());
+        let [(a, first), (b, _), rest @ ..] = operands.as_slice() else {
+            unreachable!("a chain runs for |X| ≥ 2");
+        };
+        let pair = AttrSet::single(*a).with(*b).bits();
+        let mut acc = match self.peek(pair) {
+            Some(stored) => Arc::clone(stored),
+            None => {
+                self.stats.products += 1;
+                let part = Arc::new(first.refine_with_scratch(rel, *b, scratch));
+                if !rest.is_empty() {
+                    self.insert(pair, Arc::clone(&part), false);
+                }
+                part
+            }
+        };
+        for &(next, _) in rest {
             if acc.is_superkey() {
                 break;
             }
-            acc = acc.product_with_scratch(next, scratch);
+            self.stats.products += 1;
+            acc = Arc::new(acc.refine_with_scratch(rel, next, scratch));
         }
-        acc
+        Arc::unwrap_or_clone(acc)
     }
 
     /// Hits, misses, products and bytes so far.
@@ -369,12 +368,31 @@ mod tests {
         }
     }
 
+    /// X's attributes in the chain's order: ascending level-1 `‖Π*‖`,
+    /// ties by attribute.
+    fn chain_order(rel: &Relation, x: AttrSet) -> Vec<AttrId> {
+        let mut attrs: Vec<AttrId> = x.iter().collect();
+        attrs.sort_by_key(|&a| StrippedPartition::of_attr(rel, a).tuple_count());
+        attrs
+    }
+
+    /// The products a chain over `attrs` makes from `skip` operands on: one
+    /// per operand joined before the first superkey prefix.
+    fn chain_products(rel: &Relation, attrs: &[AttrId], skip: usize) -> u64 {
+        let prefix = |k: usize| attrs[..k].iter().fold(AttrSet::empty(), |s, &a| s.with(a));
+        let stop = (2..attrs.len())
+            .find(|&k| StrippedPartition::of(rel, prefix(k)).is_superkey())
+            .unwrap_or(attrs.len());
+        (stop - skip) as u64
+    }
+
     #[test]
     fn pinned_chain_equals_direct_without_resident_parents() {
         // Discovery may ask for Π*_X with no parent resident: the chain
         // over pinned level-1 partitions must reproduce the direct
-        // partition (superkeys included), insert only Π*_X and count one
-        // miss and no resident-parent product.
+        // partition (superkeys included), count one miss and each of its
+        // products, and keep Π*_X and its first product, the canonical
+        // Π* of X's two smallest attributes.
         let rel = table1();
         let n = rel.n_attrs();
         for bits in 0..(1u64 << n) {
@@ -387,10 +405,50 @@ mod tests {
             seed_level1(&mut cache, &rel);
             let got = cache.produce(&rel, x, &mut scratch);
             assert_eq!(*got, StrippedPartition::of(&rel, x), "{x:?}");
+            let order = chain_order(&rel, x);
             let s = cache.stats();
-            assert_eq!((s.hits, s.misses, s.products), (0, 1, 0), "{x:?}");
-            assert_eq!(cache.entries.len(), n + 1, "{x:?}");
+            let products = chain_products(&rel, &order, 1);
+            assert_eq!((s.hits, s.misses, s.products), (0, 1, products), "{x:?}");
+            assert_eq!(cache.entries.len(), n + 2, "{x:?}");
+            let pair = AttrSet::single(order[0]).with(order[1]);
+            let kept = cache.peek(pair.bits()).expect("first product kept");
+            assert_eq!(**kept, StrippedPartition::of(&rel, pair), "{x:?}");
+            assert!(!cache.entries[&pair.bits()].pinned, "{x:?}");
         }
+    }
+
+    #[test]
+    fn a_second_chain_starts_from_the_kept_pair() {
+        // X = {a, b, c} and X′ = {a, b, d, e} share their two smallest
+        // attributes and no parent: X′'s chain starts from X's first
+        // product, so it makes one product fewer than a fresh chain, and
+        // both equal the direct partition.
+        let rel = table1();
+        let order = chain_order(&rel, rel.schema().all());
+        let set = |attrs: &[AttrId]| attrs.iter().fold(AttrSet::empty(), |s, &a| s.with(a));
+        let x = set(&order[..3]);
+        let x2 = set(&[order[0], order[1], order[3], order[4]]);
+        let mut cache = PartitionCache::new(64, Obs::disabled());
+        let mut scratch = ProductScratch::default();
+        seed_level1(&mut cache, &rel);
+        assert_eq!(
+            *cache.produce(&rel, x, &mut scratch),
+            StrippedPartition::of(&rel, x)
+        );
+        let before = cache.stats();
+        let got = cache.produce(&rel, x2, &mut scratch);
+        assert_eq!(*got, StrippedPartition::of(&rel, x2));
+        let s = cache.stats();
+        let from_pair = chain_products(&rel, &chain_order(&rel, x2), 2);
+        assert!(from_pair > 0, "the pair is no superkey on Table 1");
+        assert_eq!(s.products - before.products, from_pair);
+        let mut fresh = PartitionCache::new(64, Obs::disabled());
+        seed_level1(&mut fresh, &rel);
+        assert_eq!(*fresh.produce(&rel, x2, &mut scratch), *got);
+        assert_eq!(fresh.stats().products, from_pair + 1);
+        assert_eq!((s.hits, s.misses), (0, 2), "keeping the pair is no lookup");
+        // Π*_X, Π*_X′ and one kept pair beside the pinned ones.
+        assert_eq!(cache.entries.len(), rel.n_attrs() + 3);
     }
 
     #[test]
