@@ -13,25 +13,19 @@
 //! The baseline holds one entry per workload over a named preset from
 //! [`ofd_datagen::named`] — `clinical-40k` (the long-standing
 //! single-threaded gate), `clinical-40k-k95` (the same preset discovered
-//! approximately, at κ = 0.95), `clinical-250k` (the multi-threaded sampled
-//! pipeline smoke scale), `kiva-670k` and `synth-1m`. Each entry pins every
+//! approximately, at κ = 0.95), `clinical-250k` (the multi-threaded smoke
+//! scale), `kiva-670k` and `synth-1m`. Each entry pins every
 //! result-affecting knob (`min_support`, absent meaning 1.0) plus the perf
-//! knobs (`threads`, `sample_rounds`) so the recorded wall time is
-//! comparable across commits, and records `host.cores` so cross-host
-//! numbers are never mistaken for same-host history. Entries recorded since
-//! `min_support` was added also store the run's deterministic counts:
-//! `candidates`, `verified`, and the partition cache's `products`,
-//! `cache_hits` and `cache_misses`; entries recorded since the sampler's
-//! counts were added also store `sample_pruned` (candidates the sample
-//! oracle refuted) and `evidence_pairs` (sampled pairs with a witness).
-//! The counts come from one extra untimed run with metrics on, so the
-//! timed repeats run exactly as before.
-//!
-//! Entries that measure a sequential reference (`sequential_wall_ms`) also
-//! record `speedup` — the plain sequential engine (threads=1, sampling
-//! off) against the entry's hybrid configuration, i.e. the *algorithmic*
-//! gain of the sampled pipeline, which is honest on a single-core host
-//! where thread-level gains cannot show.
+//! knob `threads`, so the recorded wall time is comparable across commits,
+//! and records `host.cores` so cross-host numbers are never mistaken for
+//! same-host history. Entries recorded since `min_support` was added also
+//! store the run's deterministic counts: `candidates`, `verified`, and the
+//! partition cache's `products`, `cache_hits` and `cache_misses`; entries
+//! recorded since exact discovery scans its antecedents also store
+//! `abandoned` (scans that stopped before their partition was complete).
+//! The counts are the run's own statistics, the same in every repeat.
+//! Fields of older recordings (`sample_rounds`, `sample_pruned`,
+//! `evidence_pairs`, `sequential_wall_ms`, `speedup`) are not read.
 //!
 //! `--check` re-runs every recorded entry (optionally filtered with
 //! `--only`) under its recorded knobs and fails when |Σ| or any stored
@@ -45,7 +39,6 @@
 use std::path::Path;
 use std::time::Instant;
 
-use ofd_core::Obs;
 use ofd_datagen::{named, Dataset, PresetConfig};
 use ofd_discovery::{DiscoveryOptions, FastOfd};
 use serde_json::{json, Value};
@@ -56,10 +49,7 @@ struct EntryConfig {
     min_support: f64,
     max_level: usize,
     threads: usize,
-    sample_rounds: usize,
     repeats: usize,
-    /// Also measure the plain sequential engine and record the speedup.
-    measure_sequential: bool,
     /// Absolute wall budget for `--check` (ms); `None` gates on
     /// `--max-regress-pct` against the recorded wall instead.
     budget_ms: Option<u64>,
@@ -67,11 +57,11 @@ struct EntryConfig {
 
 /// The recorded workload matrix. `clinical-40k` keeps the historical gate
 /// shape (single-threaded, default engine) and takes the best of 10 runs:
-/// its wall is ≈100 ms, so one run slowed by a busy host moves it by more
-/// than the 25 % gate. `clinical-40k-k95` is approximate discovery on the
-/// same preset: the sampler is off at κ < 1, so it has no sequential
-/// reference, and its absolute budget makes its counts the real gate. The
-/// large entries exercise the sampled pipeline across four worker threads.
+/// its wall is a few tens of ms, so one run slowed by a busy host moves it
+/// by more than the 25 % gate. `clinical-40k-k95` is approximate discovery
+/// on the same preset, where partitions are built before they are checked;
+/// its absolute budget makes its counts the real gate. The large entries
+/// run exact discovery across four worker threads.
 fn plan() -> Vec<EntryConfig> {
     vec![
         EntryConfig {
@@ -80,9 +70,7 @@ fn plan() -> Vec<EntryConfig> {
             min_support: 1.0,
             max_level: 4,
             threads: 1,
-            sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
             repeats: 10,
-            measure_sequential: true,
             budget_ms: None,
         },
         EntryConfig {
@@ -91,9 +79,7 @@ fn plan() -> Vec<EntryConfig> {
             min_support: 0.95,
             max_level: 4,
             threads: 1,
-            sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
             repeats: 3,
-            measure_sequential: false,
             budget_ms: None, // derived from the measurement below
         },
         EntryConfig {
@@ -102,9 +88,7 @@ fn plan() -> Vec<EntryConfig> {
             min_support: 1.0,
             max_level: 4,
             threads: 4,
-            sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
             repeats: 2,
-            measure_sequential: true,
             budget_ms: None, // derived from the measurement below
         },
         EntryConfig {
@@ -113,9 +97,7 @@ fn plan() -> Vec<EntryConfig> {
             min_support: 1.0,
             max_level: 4,
             threads: 4,
-            sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
             repeats: 1,
-            measure_sequential: false,
             budget_ms: None,
         },
         EntryConfig {
@@ -124,9 +106,7 @@ fn plan() -> Vec<EntryConfig> {
             min_support: 1.0,
             max_level: 4,
             threads: 4,
-            sample_rounds: ofd_discovery::DEFAULT_SAMPLE_ROUNDS,
             repeats: 1,
-            measure_sequential: false,
             budget_ms: None,
         },
     ]
@@ -137,18 +117,18 @@ struct Measured {
     ofds: usize,
     peak_partition_bytes: u64,
     cache_hit_rate: f64,
+    counts: Counts,
 }
 
 /// The stored counts, by entry field name. They are deterministic for the
 /// entry's knobs: the same on any host and at any thread count.
-const COUNT_FIELDS: [&str; 7] = [
+const COUNT_FIELDS: [&str; 6] = [
     "candidates",
     "verified",
     "products",
+    "abandoned",
     "cache_hits",
     "cache_misses",
-    "sample_pruned",
-    "evidence_pairs",
 ];
 
 /// One entry's counts, in [`COUNT_FIELDS`] order.
@@ -158,7 +138,6 @@ struct Knobs {
     min_support: f64,
     max_level: usize,
     threads: usize,
-    sample_rounds: usize,
     repeats: usize,
 }
 
@@ -168,7 +147,6 @@ impl Knobs {
             .min_support(self.min_support)
             .max_level(self.max_level)
             .threads(self.threads)
-            .sample_rounds(self.sample_rounds)
     }
 }
 
@@ -194,35 +172,20 @@ fn measure(ds: &Dataset, k: &Knobs) -> Measured {
             } else {
                 cs.hits as f64 / lookups as f64
             },
+            counts: [
+                result.stats.total_candidates() as u64,
+                result.stats.total_verified() as u64,
+                cs.products,
+                cs.abandoned,
+                cs.hits,
+                cs.misses,
+            ],
         };
         if best.as_ref().is_none_or(|b| m.wall_ms < b.wall_ms) {
             best = Some(m);
         }
     }
     best.expect("at least one repeat")
-}
-
-/// The workload's counts, from one untimed run with metrics on: the
-/// sampler's counts exist only as metrics, and the timed repeats stay
-/// without them.
-fn count(ds: &Dataset, k: &Knobs) -> Counts {
-    let obs = Obs::enabled();
-    let result = FastOfd::new(&ds.clean, &ds.full_ontology)
-        .options(k.options().obs(obs.clone()))
-        .run();
-    assert!(result.complete, "pinned workload must run to completion");
-    let cs = result.stats.cache.expect("cache on by default");
-    let m = obs.snapshot();
-    let sampled = |name: &str| m.counter(name).expect("sample counters are always emitted");
-    [
-        result.stats.total_candidates() as u64,
-        result.stats.total_verified() as u64,
-        cs.products,
-        cs.hits,
-        cs.misses,
-        sampled("discovery.sample.candidates_pruned"),
-        sampled("discovery.sample.evidence_pairs"),
-    ]
 }
 
 fn generate(preset: &str) -> Option<(Dataset, PresetConfig)> {
@@ -236,9 +199,7 @@ fn host_cores() -> usize {
         .unwrap_or(1)
 }
 
-/// Records one baseline entry: hybrid measurement, optional sequential
-/// reference, and a |Σ| cross-check between the two (the result-neutrality
-/// contract, enforced live at bench scale, not just on unit-test fixtures).
+/// Records one baseline entry: the best wall of its repeats and its counts.
 fn record_entry(e: &EntryConfig) -> Value {
     let (ds, cfg) =
         generate(e.preset).unwrap_or_else(|| panic!("unknown preset {:?}", e.preset));
@@ -246,40 +207,16 @@ fn record_entry(e: &EntryConfig) -> Value {
         min_support: e.min_support,
         max_level: e.max_level,
         threads: e.threads,
-        sample_rounds: e.sample_rounds,
         repeats: e.repeats,
     };
     let m = measure(&ds, &knobs);
-    let counts = count(&ds, &knobs);
-    let mut sequential_wall_ms: Option<u64> = None;
-    let mut speedup: Option<f64> = None;
-    if e.measure_sequential {
-        let seq = measure(
-            &ds,
-            &Knobs {
-                threads: 1,
-                sample_rounds: 0,
-                ..knobs
-            },
-        );
-        assert_eq!(
-            seq.ofds, m.ofds,
-            "{}: hybrid and sequential engines must find the same |Σ|",
-            e.name
-        );
-        sequential_wall_ms = Some(seq.wall_ms);
-        speedup = Some(seq.wall_ms as f64 / m.wall_ms.max(1) as f64);
-    }
     // Large entries get an absolute wall budget: 3x the recorded best,
     // floored generously so CI noise on shared runners cannot flake the
     // gate. The 40k entry keeps the tighter relative gate instead.
     let budget_ms = e
         .budget_ms
         .or_else(|| (e.name != "clinical-40k").then(|| (m.wall_ms * 3).max(10_000)));
-    println!(
-        "{}: wall {} ms, |Σ| {}, seq {:?} ms, speedup {:?}",
-        e.name, m.wall_ms, m.ofds, sequential_wall_ms, speedup
-    );
+    println!("{}: wall {} ms, |Σ| {}", e.name, m.wall_ms, m.ofds);
     let mut entry = json!({
         "name": e.name,
         "preset": e.preset,
@@ -288,22 +225,19 @@ fn record_entry(e: &EntryConfig) -> Value {
         "seed": cfg.seed,
         "max_level": e.max_level,
         "threads": e.threads,
-        "sample_rounds": e.sample_rounds,
         "partition_cache_mib": ofd_discovery::DEFAULT_PARTITION_CACHE_MIB,
         "repeats": e.repeats,
         "wall_ms": m.wall_ms,
         "ofds": m.ofds,
         "peak_partition_bytes": m.peak_partition_bytes,
         "cache_hit_rate": m.cache_hit_rate,
-        "sequential_wall_ms": sequential_wall_ms,
-        "speedup": speedup,
         "budget_ms": budget_ms,
     });
     if let Value::Object(fields) = &mut entry {
         fields.extend(
             COUNT_FIELDS
                 .iter()
-                .zip(counts)
+                .zip(m.counts)
                 .map(|(field, count)| (field.to_string(), Value::from(count))),
         );
     }
@@ -360,14 +294,12 @@ fn check_entry(
         min_support,
         max_level: field("max_level")? as usize,
         threads: field("threads")? as usize,
-        sample_rounds: field("sample_rounds")? as usize,
         repeats: repeats_override.unwrap_or(field("repeats")? as usize),
     };
     let base_ms = field("wall_ms")?;
     let base_ofds = field("ofds")?;
     let budget_ms = entry.get("budget_ms").and_then(Value::as_u64);
     let m = measure(&ds, &knobs);
-    let counts = count(&ds, &knobs);
     let (limit_ms, gate) = match budget_ms {
         Some(b) => (b as f64, "budget"),
         None => (
@@ -386,14 +318,14 @@ fn check_entry(
         limit_ms,
         m.ofds,
         base_ofds,
-        COUNT_FIELDS.iter().zip(counts).collect::<Vec<_>>()
+        COUNT_FIELDS.iter().zip(m.counts).collect::<Vec<_>>()
     );
     if m.ofds as u64 != base_ofds {
         return Err(format!(
             "{name}: |Σ| drifted from the baseline — fix correctness before perf"
         ));
     }
-    if let Some(reason) = count_drift(name, entry, &counts) {
+    if let Some(reason) = count_drift(name, entry, &m.counts) {
         return Err(reason);
     }
     if (m.wall_ms as f64) > limit_ms {
@@ -558,37 +490,34 @@ mod tests {
 
     #[test]
     fn stored_counts_gate_and_absent_ones_are_skipped() {
-        let counts = [5_565, 5_551, 14, 17, 10, 5_507, 299_955];
+        let counts = [5_565, 5_551, 9, 404, 17, 10];
         let recorded = json!({
             "name": "40k",
             "candidates": 5_565u64,
             "verified": 5_551u64,
-            "products": 14u64,
+            "products": 9u64,
+            "abandoned": 404u64,
             "cache_hits": 17u64,
             "cache_misses": 10u64,
-            "sample_pruned": 5_507u64,
-            "evidence_pairs": 299_955u64,
         });
         assert_eq!(count_drift("40k", &recorded, &counts), None);
         let mut drifted = counts;
-        drifted[3] = 18;
+        drifted[4] = 18;
         assert_eq!(
             count_drift("40k", &recorded, &drifted).as_deref(),
             Some("40k: cache_hits drifted from the baseline (18 vs 17)")
         );
         let mut drifted = counts;
-        drifted[5] = 5_506;
+        drifted[3] = 403;
         assert_eq!(
             count_drift("40k", &recorded, &drifted).as_deref(),
-            Some("40k: sample_pruned drifted from the baseline (5506 vs 5507)")
+            Some("40k: abandoned drifted from the baseline (403 vs 404)")
         );
-        // An entry recorded before the sampler's counts were stored gates
-        // on the five it has.
+        // An entry recorded before scans were counted gates on the five
+        // counts it has.
         let mut older = recorded.clone();
         if let Value::Object(fields) = &mut older {
-            fields.retain(|(field, _)| {
-                !["sample_pruned", "evidence_pairs"].contains(&field.as_str())
-            });
+            fields.retain(|(field, _)| field != "abandoned");
         }
         assert_eq!(older.get("cache_misses"), recorded.get("cache_misses"));
         assert_eq!(count_drift("40k", &older, &drifted), None);

@@ -1,6 +1,19 @@
-//! Conflict graphs and data repair (§6.2): violating tuple pairs, the
-//! 2-approximate minimum vertex cover, and the Beskales-style `RepairData`
-//! loop that repairs covered tuples and regenerates the graph.
+//! Data repair (§6.2), and the conflict graph that describes it.
+//!
+//! [`repair_data_guarded`] builds no graph. Each round it rebuilds the
+//! classes of every OFD and, in each class that violates its OFD under the
+//! class's assigned sense, rewrites the *outlier* tuples to one target
+//! value: the most frequent value inside the sense, or the majority value
+//! when no value is inside it or no sense is assigned; the outliers are the
+//! tuples whose consequent lies outside the sense (every tuple off the
+//! target, for a majority repair). Rounds repeat until no class violates,
+//! a round changes nothing, or the round or repair budget runs out. The
+//! outliers are exactly the vertices a minimum cover of the class's
+//! conflict graph must contain, so no cover is computed.
+//!
+//! [`conflict_graph`], the 2-approximate [`vertex_cover`] and [`delta_p`]
+//! build that graph and the paper's δ_P bound for ontology repair's
+//! Table 6, the DOT export and the examples.
 
 use std::collections::{HashMap, HashSet};
 

@@ -11,10 +11,9 @@
 //! [`PairKernel::gather`] samples the pairs, HyFD-style: round `r`
 //! compares every row with its `r + 1`-distant neighbour in each
 //! attribute's sort order, since two rows violating `X → A` agree on `X`
-//! and so sit close together when sorted by any attribute of `X`.
-//! Discovery consults the evidence before paying for a full-relation scan,
-//! and the HyFD baseline (`fd-baselines`) induces its FD hypotheses from
-//! it. Soundness is one-directional: a sampled pair that refutes `X → A`
+//! and so sit close together when sorted by any attribute of `X`. The
+//! HyFD baseline (`fd-baselines`) induces its FD hypotheses from it.
+//! Soundness is one-directional: a sampled pair that refutes `X → A`
 //! refutes it on the full relation, while nothing is concluded from the
 //! *absence* of evidence.
 
@@ -69,52 +68,21 @@ impl EvidenceSet {
     }
 
     /// Records a raw witness: pairs agreeing exactly on `agree` refute any
-    /// exact `X → rhs` with `X ⊆ agree`. (Test/tool entry point; discovery
+    /// exact `X → rhs` with `X ⊆ agree`. (Test/tool entry point; HyFD
     /// records pairs through a [`PairKernel`].)
     pub fn observe_agree(&mut self, agree: AttrSet, rhs: AttrId) {
         self.record(agree.bits(), 1 << rhs.index());
     }
 
-    /// Drops every agree-set contained in another one of the same
-    /// consequent. [`EvidenceSet::refutes`] answers exactly as before:
-    /// `lhs ⊆ a ⊆ b` for any dropped `a` and the kept `b` covering it.
-    /// Each list ends up ordered by descending size, then ascending bits.
-    pub fn keep_maximal(&mut self) {
-        for witnesses in &mut self.per_rhs {
-            // Recorded agree-sets are distinct, so a proper superset has
-            // more bits and sorts ahead of every set it covers.
-            witnesses.sort_unstable_by_key(|&a| (std::cmp::Reverse(a.count_ones()), a));
-            let mut kept: Vec<u64> = Vec::new();
-            for &a in witnesses.iter() {
-                if !kept.iter().any(|&b| a & b == a) {
-                    kept.push(a);
-                }
-            }
-            *witnesses = kept;
-        }
-    }
-
-    /// The agree-sets recorded against `rhs`, in recording order (or, after
-    /// [`EvidenceSet::keep_maximal`], the maximal ones): pairs agreeing on
-    /// each refute every exact `X → rhs` with `X` inside it.
+    /// The agree-sets recorded against `rhs`, in recording order: pairs
+    /// agreeing on each refute every exact `X → rhs` with `X` inside it.
     pub fn witnesses(&self, rhs: AttrId) -> impl Iterator<Item = AttrSet> + '_ {
         self.per_rhs[rhs.index()]
             .iter()
             .map(|&bits| AttrSet::from_bits(bits))
     }
 
-    /// Whether the recorded evidence refutes the exact OFD `lhs → rhs`.
-    #[inline]
-    pub fn refutes(&self, lhs: AttrSet, rhs: AttrId) -> bool {
-        let need = lhs.bits();
-        self.per_rhs
-            .get(rhs.index())
-            .is_some_and(|w| w.iter().any(|&agree| agree & need == need))
-    }
-
-    /// Number of (agree-set, consequent) witnesses kept: every distinct
-    /// one recorded, or only the maximal ones after
-    /// [`EvidenceSet::keep_maximal`].
+    /// Number of distinct (agree-set, consequent) witnesses recorded.
     pub fn len(&self) -> usize {
         self.per_rhs.iter().map(Vec::len).sum()
     }
@@ -366,18 +334,10 @@ mod tests {
         }
     }
 
-    fn assert_same_refutations(a: &EvidenceSet, b: &EvidenceSet, n_attrs: usize) {
-        for rhs in 0..n_attrs {
-            let rhs = AttrId::from_index(rhs);
-            for bits in 0..(1u64 << n_attrs) {
-                let lhs = AttrSet::from_bits(bits);
-                assert_eq!(
-                    a.refutes(lhs, rhs),
-                    b.refutes(lhs, rhs),
-                    "{lhs:?} -> {rhs:?}"
-                );
-            }
-        }
+    /// Whether some recorded agree-set of `rhs` contains `lhs`: the
+    /// evidence refutes the exact OFD `lhs → rhs`.
+    fn refutes(ev: &EvidenceSet, lhs: AttrSet, rhs: AttrId) -> bool {
+        ev.witnesses(rhs).any(|agree| lhs.is_subset(agree))
     }
 
     #[test]
@@ -398,12 +358,12 @@ mod tests {
         // refute it (soundness).
         let cc = schema.set(["CC"]).unwrap();
         let ctry = schema.attr("CTRY").unwrap();
-        assert!(!ev.refutes(cc, ctry));
+        assert!(!refutes(&ev, cc, ctry));
         // SYMP,DIAG → MED fails as a synonym OFD (the nausea class), and
         // full pair enumeration must surface a witness for it.
         let sd = schema.set(["SYMP", "DIAG"]).unwrap();
         let med = schema.attr("MED").unwrap();
-        assert!(ev.refutes(sd, med));
+        assert!(refutes(&ev, sd, med));
         // Soundness over every small antecedent: whenever the evidence
         // refutes X → A, the exact check over the full relation must fail
         // too (never the other way a refutation gets invented).
@@ -414,7 +374,7 @@ mod tests {
                 if lhs.len() > 2 || lhs.contains(a) {
                     continue;
                 }
-                if ev.refutes(lhs, a) {
+                if refutes(&ev, lhs, a) {
                     let ofd = crate::ofd::Ofd::synonym(lhs, a);
                     assert!(
                         !v.check(&ofd).satisfied(),
@@ -436,10 +396,10 @@ mod tests {
         ev.observe_agree(x, rhs);
         ev.observe_agree(x, rhs);
         assert_eq!(ev.len(), 1);
-        assert!(ev.refutes(schema.set(["CC"]).unwrap(), rhs));
-        assert!(ev.refutes(x, rhs));
-        assert!(!ev.refutes(schema.set(["CC", "TEST"]).unwrap(), rhs));
-        assert!(!ev.refutes(x, schema.attr("CTRY").unwrap()));
+        assert!(refutes(&ev, schema.set(["CC"]).unwrap(), rhs));
+        assert!(refutes(&ev, x, rhs));
+        assert!(!refutes(&ev, schema.set(["CC", "TEST"]).unwrap(), rhs));
+        assert!(!refutes(&ev, x, schema.attr("CTRY").unwrap()));
     }
 
     #[test]
@@ -467,31 +427,6 @@ mod tests {
         assert!(!naive.is_empty());
         assert_eq!(fast.pair_count(), naive.pair_count());
         assert_eq!(fast.per_rhs, naive.per_rhs, "identical witness lists");
-    }
-
-    #[test]
-    fn keep_maximal_preserves_every_refutation() {
-        let rel = table1();
-        let onto = samples::combined_paper_ontology();
-        let index = SenseIndex::synonym(&rel, &onto);
-        let kernel = PairKernel::new(&rel, &index);
-        let mut full = EvidenceSet::new(rel.n_attrs());
-        all_pairs(&rel, |t1, t2| kernel.observe(&mut full, t1, t2));
-        let mut maximal = full.clone();
-        maximal.keep_maximal();
-        assert!(
-            maximal.len() < full.len(),
-            "Table 1 has dominated witnesses"
-        );
-        assert_eq!(maximal.pair_count(), full.pair_count());
-        assert_same_refutations(&full, &maximal, rel.n_attrs());
-        for w in &maximal.per_rhs {
-            for (i, &a) in w.iter().enumerate() {
-                for (j, &b) in w.iter().enumerate() {
-                    assert!(i == j || a & b != a, "kept {a:#b} inside {b:#b}");
-                }
-            }
-        }
     }
 
     /// Width of the kernel's sense signatures.
@@ -596,9 +531,7 @@ mod tests {
 
         /// The signature-filtered kernel, its skip of witnessed consequents
         /// and the counting-sort schedule give the naive gather's pair
-        /// count, its per-consequent witness lists in recording order and
-        /// its refutation answers, both before and after the
-        /// maximal-witness reduction.
+        /// count and its per-consequent witness lists in recording order.
         #[test]
         fn kernel_gather_equals_naive_reference(
             (rel, onto) in arb_sensed_instance(),
@@ -611,23 +544,8 @@ mod tests {
                 prop_assert_eq!(&value_order(rel.column(a)), &naive_orders[a.index()]);
             }
             let (raw, _) = PairKernel::new(&rel, &index).gather(rounds, &ExecGuard::unlimited());
-            let mut reduced = raw.clone();
-            reduced.keep_maximal();
-            let mut naive_reduced = naive.clone();
-            naive_reduced.keep_maximal();
             prop_assert_eq!(raw.pair_count(), naive_pairs);
-            prop_assert_eq!(reduced.pair_count(), naive_pairs);
             prop_assert_eq!(&raw.per_rhs, &naive.per_rhs);
-            prop_assert_eq!(&reduced.per_rhs, &naive_reduced.per_rhs);
-            for rhs in (0..rel.n_attrs()).map(AttrId::from_index) {
-                for bits in 0..(1u64 << rel.n_attrs()) {
-                    let lhs = AttrSet::from_bits(bits);
-                    let want = naive.refutes(lhs, rhs);
-                    prop_assert_eq!(raw.refutes(lhs, rhs), want);
-                    prop_assert_eq!(reduced.refutes(lhs, rhs), want);
-                    prop_assert_eq!(naive_reduced.refutes(lhs, rhs), want);
-                }
-            }
         }
     }
 
@@ -638,9 +556,8 @@ mod tests {
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let index = SenseIndex::synonym(&rel, &onto);
-        let (mut evidence, rounds_run) =
+        let (evidence, rounds_run) =
             PairKernel::new(&rel, &index).gather(4, &ExecGuard::unlimited());
-        evidence.keep_maximal();
         assert_eq!(rounds_run, 4);
         assert!(!evidence.is_empty(), "Table 1 yields witnesses");
         let v = Validator::new(&rel, &onto);
@@ -648,7 +565,7 @@ mod tests {
         for a in schema.attrs() {
             for bits in 0..(1u64 << schema.len()) {
                 let lhs = AttrSet::from_bits(bits);
-                if lhs.contains(a) || !evidence.refutes(lhs, a) {
+                if lhs.contains(a) || !refutes(&evidence, lhs, a) {
                     continue;
                 }
                 let ofd = Ofd::synonym(lhs, a);

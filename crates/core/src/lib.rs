@@ -64,7 +64,7 @@ pub use nfd_check::NfdChecker;
 pub use lhs_synonyms::{check_lhs_synonyms, InterpretationOutcome, LhsSynonymValidation};
 pub use ofd::{Fd, Ofd, OfdKind};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use partition::{Classes, Partition, ProductScratch, StrippedPartition};
+pub use partition::{Classes, Partition, ProductScratch, Split, StrippedPartition};
 pub use relation::{table1, table1_updated, Relation, RelationBuilder, MAX_ROWS};
 pub use schema::{AttrId, AttrSet, AttrSetIter, Schema, MAX_ATTRS};
 pub use sense_index::SenseIndex;

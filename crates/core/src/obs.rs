@@ -211,6 +211,8 @@ struct ObsInner {
     gauges: Mutex<BTreeMap<String, f64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     spans: Mutex<Vec<SpanRecord>>,
+    /// Whether [`Obs::span`] records anything; see [`Obs::metrics_only`].
+    keep_spans: bool,
     epoch: Instant,
 }
 
@@ -239,12 +241,25 @@ impl Obs {
 
     /// A handle with a live registry; the span epoch starts now.
     pub fn enabled() -> Obs {
+        Obs::live(true)
+    }
+
+    /// A live registry of counters, gauges and histograms that retains no
+    /// spans: [`Obs::span`] is a no-op on it. A long-lived handle, such as
+    /// a server's, would otherwise keep every span each request closes,
+    /// and its snapshot would grow without bound.
+    pub fn metrics_only() -> Obs {
+        Obs::live(false)
+    }
+
+    fn live(keep_spans: bool) -> Obs {
         Obs {
             inner: Some(Arc::new(ObsInner {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
                 spans: Mutex::new(Vec::new()),
+                keep_spans,
                 epoch: Instant::now(),
             })),
         }
@@ -318,7 +333,7 @@ impl Obs {
     /// another span of the same registry is open on the same thread records
     /// it as its parent.
     pub fn span(&self, name: &str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
+        let Some(inner) = self.inner.as_ref().filter(|inner| inner.keep_spans) else {
             return SpanGuard { active: None };
         };
         let id = Arc::as_ptr(inner) as usize;
@@ -605,6 +620,24 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("outer "));
         assert!(lines[1].starts_with("  inner "));
+    }
+
+    #[test]
+    fn a_metrics_only_handle_counts_but_keeps_no_spans() {
+        let obs = Obs::metrics_only();
+        assert!(obs.is_enabled());
+        for _ in 0..3 {
+            let _outer = obs.span("outer");
+            let _inner = obs.span("inner");
+            obs.inc("requests");
+            obs.observe("h", &[1.0], 0.5);
+        }
+        let snap = obs.snapshot();
+        assert!(snap.enabled);
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.counter("requests"), Some(3));
+        assert_eq!(snap.histograms[0].1.count, 3);
+        assert!(snap.render_trace().is_empty());
     }
 
     #[test]

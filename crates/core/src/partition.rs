@@ -222,12 +222,13 @@ pub struct StrippedPartition {
 }
 
 /// Reusable scratch buffers for [`StrippedPartition::product_with_scratch`]
-/// and [`StrippedPartition::refine_with_scratch`], so repeated products
+/// and [`StrippedPartition::scan_with_scratch`], so repeated products
 /// during lattice traversal do not reallocate.
 ///
 /// Invariant between calls: every `probe` and `slot` entry is `UNASSIGNED`
 /// and every `counts` entry is zero — each call resets exactly the entries
-/// it touched (O(‖Π*‖), not O(n)) before returning.
+/// it touched (O(‖Π*‖), not O(n)) before returning, or before a scan
+/// visits the classes one source class split into.
 #[derive(Debug, Default)]
 pub struct ProductScratch {
     probe: Vec<u32>,
@@ -236,10 +237,30 @@ pub struct ProductScratch {
     touched: Vec<u32>,
     out_tuples: Vec<u32>,
     metas: Vec<ClassMeta>,
-    /// Value id → its group within the class being refined.
+    /// Value id → its count within the class being refined, then its
+    /// group's staging cursor.
     slot: Vec<u32>,
-    /// Per group of that class: its size, then its staging cursor.
-    sizes: Vec<u32>,
+    /// A source class's groups while they split by the next attribute.
+    spare: Vec<u32>,
+    spare_metas: Vec<ClassMeta>,
+}
+
+/// The classes (each of ≥ 2 tuples, members ascending) that one class of a
+/// scan's source split into, in staging order; see
+/// [`StrippedPartition::scan_with_scratch`].
+#[derive(Debug, Clone)]
+pub struct Split<'a> {
+    tuples: &'a [u32],
+    metas: std::slice::Iter<'a, ClassMeta>,
+}
+
+impl<'a> Iterator for Split<'a> {
+    type Item = &'a [u32];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u32]> {
+        self.metas.next().map(|m| m.members(self.tuples))
+    }
 }
 
 /// Per-output-class bookkeeping during a product: representative (smallest
@@ -251,8 +272,70 @@ struct ClassMeta {
     len: u32,
 }
 
+impl ClassMeta {
+    /// The class's members in the buffer it was staged in.
+    #[inline]
+    fn members(self, staged: &[u32]) -> &[u32] {
+        &staged[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
 const UNASSIGNED: u32 = u32::MAX;
 const SKIP: u32 = u32::MAX;
+
+/// Splits `members` (ascending) by their values in `column` and stages
+/// each group of ≥ 2 tuples in `out`, members ascending, with its meta.
+/// `slot` holds each value's count, then its group's staging cursor, and
+/// is left all `UNASSIGNED`.
+fn split_class(
+    members: &[u32],
+    column: &[ValueId],
+    slot: &mut [u32],
+    touched: &mut Vec<u32>,
+    out: &mut Vec<u32>,
+    metas: &mut Vec<ClassMeta>,
+) {
+    // Count pass: the distinct values in first-occurrence order.
+    touched.clear();
+    for &t in members {
+        let v = column[t as usize].index();
+        let count = &mut slot[v];
+        if *count == UNASSIGNED {
+            *count = 0;
+            touched.push(v as u32);
+        }
+        *count += 1;
+    }
+    // Reserve a staging region per value held by ≥ 2 tuples, in that
+    // order; a singleton's value is skipped.
+    for &v in touched.iter() {
+        let slot = &mut slot[v as usize];
+        *slot = if *slot >= 2 {
+            let start = out.len() as u32;
+            metas.push(ClassMeta {
+                first: 0,
+                start,
+                len: *slot,
+            });
+            out.resize(out.len() + *slot as usize, 0);
+            start
+        } else {
+            SKIP
+        };
+    }
+    // Scatter pass: members arrive in ascending order because `members`
+    // is ascending.
+    for &t in members {
+        let cursor = &mut slot[column[t as usize].index()];
+        if *cursor != SKIP {
+            out[*cursor as usize] = t;
+            *cursor += 1;
+        }
+    }
+    for &v in touched.iter() {
+        slot[v as usize] = UNASSIGNED;
+    }
+}
 
 impl StrippedPartition {
     /// Computes Π*_X directly.
@@ -464,60 +547,113 @@ impl StrippedPartition {
         attr: AttrId,
         scratch: &mut ProductScratch,
     ) -> StrippedPartition {
+        self.scan_with_scratch(rel, &[attr], scratch, |_, _| true)
+            .expect("a scan that visits every class completes")
+    }
+
+    /// Π*_{X ∪ attrs} from this Π*_X, one class at a time: each class
+    /// splits by its members' values on every attribute of `attrs` in
+    /// turn, and `visit` sees the classes of ≥ 2 tuples it split into as
+    /// they are staged, with the number of this partition's tuples read
+    /// since its last call. The last attribute splits one group at a time,
+    /// so `visit` may see one class's split in several calls. A `false`
+    /// from `visit` stops the scan, and the result is `None`; otherwise it
+    /// is the canonical partition, equal to [`StrippedPartition::of`] over
+    /// `X ∪ attrs`. The scan reads only this partition's tuples, once per
+    /// attribute.
+    pub fn scan_with_scratch(
+        &self,
+        rel: &Relation,
+        attrs: &[AttrId],
+        scratch: &mut ProductScratch,
+        mut visit: impl FnMut(usize, Split<'_>) -> bool,
+    ) -> Option<StrippedPartition> {
         debug_assert_eq!(self.n_rows, rel.n_rows());
-        let column = rel.column(attr);
         if scratch.slot.len() < rel.pool().len() {
             scratch.slot.resize(rel.pool().len(), UNASSIGNED);
         }
         scratch.out_tuples.clear();
         scratch.metas.clear();
+        let ProductScratch {
+            out_tuples,
+            metas,
+            slot,
+            touched,
+            spare,
+            spare_metas,
+            ..
+        } = scratch;
+        let (last, init) = match attrs.split_last() {
+            Some((&last, init)) => (Some(rel.column(last)), init),
+            None => (None, attrs),
+        };
         for class in self.classes() {
-            // Count pass: one group per distinct value, numbered in
-            // first-occurrence order.
-            scratch.touched.clear();
-            scratch.sizes.clear();
-            for &t in class {
-                let v = column[t as usize].index();
-                let group = &mut scratch.slot[v];
-                if *group == UNASSIGNED {
-                    *group = scratch.sizes.len() as u32;
-                    scratch.touched.push(v as u32);
-                    scratch.sizes.push(0);
-                }
-                scratch.sizes[*group as usize] += 1;
-            }
-            // Reserve a staging region per group of size ≥ 2.
-            for size in &mut scratch.sizes {
-                *size = if *size >= 2 {
-                    let start = scratch.out_tuples.len() as u32;
-                    scratch.metas.push(ClassMeta {
-                        first: 0,
-                        start,
-                        len: *size,
-                    });
-                    scratch
-                        .out_tuples
-                        .resize(scratch.out_tuples.len() + *size as usize, 0);
-                    start
+            // Every attribute but the last splits all the groups so far;
+            // they move aside while the next attribute splits them.
+            for (step, &attr) in init.iter().enumerate() {
+                let column = rel.column(attr);
+                let (first_meta, base) = (metas.len(), out_tuples.len());
+                if step == 0 {
+                    split_class(class, column, slot, touched, out_tuples, metas);
                 } else {
-                    SKIP
-                };
+                    for m in spare_metas.iter() {
+                        let members = m.members(spare);
+                        split_class(members, column, slot, touched, out_tuples, metas);
+                    }
+                }
+                spare.clear();
+                spare.extend_from_slice(&out_tuples[base..]);
+                out_tuples.truncate(base);
+                spare_metas.clear();
+                spare_metas.extend(metas.drain(first_meta..).map(|m| ClassMeta {
+                    start: m.start - base as u32,
+                    ..m
+                }));
             }
-            // Scatter pass: members arrive in ascending order because the
-            // class is ascending.
-            for &t in class {
-                let group = scratch.slot[column[t as usize].index()] as usize;
-                let cur = scratch.sizes[group];
-                if cur != SKIP {
-                    scratch.out_tuples[cur as usize] = t;
-                    scratch.sizes[group] = cur + 1;
+            let whole = [ClassMeta {
+                first: 0,
+                start: 0,
+                len: class.len() as u32,
+            }];
+            let (members, groups) = if init.is_empty() {
+                (class, &whole[..])
+            } else {
+                (spare.as_slice(), spare_metas.as_slice())
+            };
+            // The last attribute splits one group at a time, and `visit`
+            // sees each group's classes as soon as they are staged.
+            let mut read = class.len();
+            for m in groups {
+                let first_meta = metas.len();
+                let members = m.members(members);
+                match last {
+                    Some(column) => split_class(members, column, slot, touched, out_tuples, metas),
+                    None => {
+                        metas.push(ClassMeta {
+                            first: 0,
+                            start: out_tuples.len() as u32,
+                            len: m.len,
+                        });
+                        out_tuples.extend_from_slice(members);
+                    }
+                }
+                let split = Split {
+                    tuples: out_tuples,
+                    metas: metas[first_meta..].iter(),
+                };
+                if !visit(std::mem::take(&mut read), split) {
+                    return None;
                 }
             }
-            for &v in &scratch.touched {
-                scratch.slot[v as usize] = UNASSIGNED;
+            let none = Split {
+                tuples: out_tuples,
+                metas: [].iter(),
+            };
+            if read > 0 && !visit(read, none) {
+                return None;
             }
         }
-        self.emit_staged(scratch)
+        Some(self.emit_staged(scratch))
     }
 
     /// The partition of the classes staged in `scratch`, in canonical
@@ -532,9 +668,7 @@ impl StrippedPartition {
         let mut offsets = Vec::with_capacity(scratch.metas.len() + 1);
         offsets.push(0u32);
         for m in &scratch.metas {
-            tuples.extend_from_slice(
-                &scratch.out_tuples[m.start as usize..(m.start + m.len) as usize],
-            );
+            tuples.extend_from_slice(m.members(&scratch.out_tuples));
             offsets.push(tuples.len() as u32);
         }
         StrippedPartition {
@@ -821,6 +955,41 @@ mod tests {
                     prop_assert_eq!(&got, &direct);
                     prop_assert_eq!(&got, &px.product(&StrippedPartition::of_attr(&rel, attr)));
                 }
+            }
+
+            /// Scanning Π*_X by several attributes equals the direct
+            /// Π*_{X ∪ attrs}, visits exactly its classes and every tuple
+            /// of Π*_X, and stops exactly when `visit` says so, leaving the
+            /// shared scratch fit for the next scan.
+            #[test]
+            fn scan_equals_direct_and_visits_its_classes(
+                rel in arb_relation(),
+                x in 0u64..16,
+                attrs in prop::collection::vec(0usize..4, 0..4),
+                stop_after in 0usize..4,
+            ) {
+                let mut scratch = ProductScratch::default();
+                let px = StrippedPartition::of(&rel, AttrSet::from_bits(x));
+                let attrs: Vec<AttrId> = attrs.into_iter().map(AttrId::from_index).collect();
+                let target = attrs.iter().fold(AttrSet::from_bits(x), |s, &a| s.with(a));
+                let direct = StrippedPartition::of(&rel, target);
+                let mut seen = 0;
+                let stopped = px.scan_with_scratch(&rel, &attrs, &mut scratch, |_, split| {
+                    seen += split.count();
+                    seen <= stop_after
+                });
+                prop_assert_eq!(stopped.is_none(), direct.class_count() > stop_after);
+                let (mut visited, mut scanned) = (Vec::new(), 0);
+                let got = px.scan_with_scratch(&rel, &attrs, &mut scratch, |size, split| {
+                    scanned += size;
+                    visited.extend(split.map(<[u32]>::to_vec));
+                    true
+                });
+                prop_assert_eq!(got.as_ref(), Some(&direct));
+                prop_assert_eq!(scanned, px.tuple_count());
+                visited.sort_unstable();
+                let want: Vec<Vec<u32>> = direct.classes().map(<[u32]>::to_vec).collect();
+                prop_assert_eq!(visited, want);
             }
 
             /// Product is commutative and associative.

@@ -24,6 +24,7 @@ use ofd_ontology::{Ontology, SenseId};
 use crate::ofd::{Fd, Ofd, OfdKind};
 use crate::partition::StrippedPartition;
 use crate::relation::Relation;
+use crate::schema::AttrId;
 use crate::sense_index::SenseIndex;
 use crate::value::ValueId;
 
@@ -293,6 +294,8 @@ pub struct VerifyScratch {
     value_counts: Vec<u32>,
     touched_values: Vec<ValueId>,
     senses: SenseCounts,
+    /// At budget 0: the senses shared by every value of the class so far.
+    common: Vec<SenseId>,
 }
 
 /// The sense half of a [`VerifyScratch`].
@@ -340,14 +343,19 @@ impl VerifyScratch {
             return Some((0, None));
         };
         let first = col[head as usize];
-        if class.iter().all(|&t| col[t as usize] == first) {
+        let Some(differs) = class.iter().position(|&t| col[t as usize] != first) else {
             let witness = WITNESS.then_some(Witness::Literal(first));
             return Some((class.len() as u32, witness));
+        };
+        if budget_left == 0 && !WITNESS {
+            let whole = self.common_sense(first, &class[differs..], col, index);
+            return whole.then_some((class.len() as u32, None));
         }
         let VerifyScratch {
             value_counts,
             touched_values,
             senses,
+            ..
         } = self;
         for &t in class {
             let v = col[t as usize];
@@ -363,6 +371,67 @@ impl VerifyScratch {
         }
         touched_values.clear();
         cover
+    }
+
+    /// Whether one sense holds every value of a class with at least two
+    /// distinct values: `first`, and those of `rest`. Only a whole cover
+    /// counts at budget 0, and sense lists are sorted without repeats, so
+    /// this is the counting step's verdict, decided at the first value that
+    /// shares no sense with the values before it. Leaves the scratch zeroed.
+    fn common_sense(
+        &mut self,
+        first: ValueId,
+        rest: &[u32],
+        col: &[ValueId],
+        index: &SenseIndex,
+    ) -> bool {
+        let VerifyScratch {
+            value_counts: seen,
+            touched_values,
+            common,
+            ..
+        } = self;
+        common.clear();
+        common.extend_from_slice(index.senses(first));
+        touched_values.push(first);
+        seen[first.index()] = 1;
+        for &t in rest {
+            if common.is_empty() {
+                break;
+            }
+            let v = col[t as usize];
+            if seen[v.index()] == 0 {
+                touched_values.push(v);
+                seen[v.index()] = 1;
+                let senses = index.senses(v);
+                common.retain(|s| senses.binary_search(s).is_ok());
+            }
+        }
+        for &v in touched_values.iter() {
+            seen[v.index()] = 0;
+        }
+        touched_values.clear();
+        !common.is_empty()
+    }
+
+    /// The per-class step of [`covered_within`], for a caller that finds
+    /// the classes itself: the tuples of `class` that its best
+    /// interpretation of `rhs` covers, or `None` when a tuple is uncovered
+    /// and `budget_left` is 0. The count does not depend on which classes
+    /// came before, so summing `class.len() − covered` over the classes of
+    /// Π*_X in any order gives the uncovered tuples `covered_within`
+    /// counts.
+    pub fn class_covered(
+        &mut self,
+        rel: &Relation,
+        class: &[u32],
+        rhs: AttrId,
+        index: &SenseIndex,
+        budget_left: usize,
+    ) -> Option<usize> {
+        self.prepare(rel);
+        self.class_cover::<false>(class, rel.column(rhs), index, budget_left)
+            .map(|(covered, _)| covered as usize)
     }
 
     /// Whether one interpretation covers a whole class of `size` tuples
@@ -789,6 +858,7 @@ mod tests {
                 counts: vec![5; onto.len()],
                 touched: (0..onto.len() as u32).collect(),
             },
+            common: (0..onto.len()).map(SenseId::from_index).collect(),
         };
         let kernel = |budget| covered_within(&rel, &index, &ofd, &sp, budget, &mut dirty());
         assert_eq!(kernel(1), Some(2));

@@ -14,6 +14,14 @@
 //! canonical by construction, every route yields byte-identical CSR arrays,
 //! so the budget can never change Σ.
 //!
+//! Exact discovery does not ask for Π*_X up front. It looks X up
+//! ([`PartitionCache::lookup`]), and on a miss it scans Π*_X from the
+//! cheapest resident ancestor ([`PartitionCache::scan_source`]) while it
+//! decides X's candidates; a scan that reaches the end hands its
+//! partition back ([`PartitionCache::complete_scan`]), one that stops once
+//! every candidate has failed is only counted
+//! ([`PartitionCache::abandon_scan`]).
+//!
 //! Byte accounting uses [`StrippedPartition::approx_bytes`] (exact for the
 //! CSR arrays). An insertion first evicts least-recently-used unpinned
 //! entries until the new partition fits the budget, so unpinned entries
@@ -44,10 +52,15 @@ pub struct CacheStats {
     pub peak_resident_bytes: u64,
     /// Every partition product the cache computed, emitted as
     /// `discovery.partition.products`: one per miss built from a resident
-    /// parent, and each product of a chain over the level-1 partitions
-    /// (built when no parent was resident). Misses for `|X| < 2`, or whose
-    /// level-1 operands are not resident, are direct scans and count none.
+    /// parent, each product of a chain over the level-1 partitions (built
+    /// when no parent was resident), and one per completed scan. Misses
+    /// for `|X| < 2`, or whose level-1 operands are not resident, are
+    /// direct scans and count none.
     pub products: u64,
+    /// Scans that stopped before Π*_X was complete, because every
+    /// candidate they decided had failed, emitted as
+    /// `discovery.partition.abandoned`.
+    pub abandoned: u64,
 }
 
 #[derive(Debug)]
@@ -169,22 +182,72 @@ impl PartitionCache {
         attrs: AttrSet,
         scratch: &mut ProductScratch,
     ) -> Arc<StrippedPartition> {
-        let bits = attrs.bits();
-        if let Some(e) = self.entries.get_mut(&bits) {
-            self.clock += 1;
-            e.last_used = self.clock;
-            self.stats.hits += 1;
-            return Arc::clone(&e.part);
+        if let Some(resident) = self.lookup(attrs) {
+            return resident;
         }
-        self.stats.misses += 1;
         let part = Arc::new(self.compute(rel, attrs, scratch));
+        self.admit(attrs, Arc::clone(&part));
+        part
+    }
+
+    /// Records a computed Π*_X in the class-count histogram and inserts it
+    /// unpinned.
+    fn admit(&mut self, attrs: AttrSet, part: Arc<StrippedPartition>) {
         self.obs.observe(
             "discovery.partition.class_count",
             CLASS_COUNT_BOUNDS,
             part.class_count() as f64,
         );
-        self.insert(bits, Arc::clone(&part), false);
-        part
+        self.insert(attrs.bits(), part, false);
+    }
+
+    /// Looks Π*_X up: a resident copy is a counted hit; otherwise the miss
+    /// is counted and nothing is computed, for a caller that scans Π*_X
+    /// itself (see [`PartitionCache::scan_source`]).
+    pub(crate) fn lookup(&mut self, attrs: AttrSet) -> Option<Arc<StrippedPartition>> {
+        let Some(e) = self.entries.get_mut(&attrs.bits()) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.clock += 1;
+        e.last_used = self.clock;
+        self.stats.hits += 1;
+        Some(Arc::clone(&e.part))
+    }
+
+    /// Where a scan of Π*_X starts: the resident parent with the smallest
+    /// `‖Π*‖` and X's one missing attribute, or failing that X's smallest
+    /// resident level-1 partition and X's other attributes. With neither
+    /// resident (never in FastOFD, which pins level 1), Π*_∅ and all of X.
+    pub(crate) fn scan_source(
+        &self,
+        rel: &Relation,
+        attrs: AttrSet,
+    ) -> (Arc<StrippedPartition>, Vec<AttrId>) {
+        let cheapest = |sources: &mut dyn Iterator<Item = AttrSet>| {
+            sources
+                .filter_map(|set| Some((set, self.peek(set.bits())?)))
+                .min_by_key(|(_, sp)| sp.tuple_count())
+                .map(|(set, sp)| (Arc::clone(sp), attrs.minus(set).iter().collect()))
+        };
+        cheapest(&mut attrs.parents().map(|(_, parent)| parent))
+            .or_else(|| cheapest(&mut attrs.iter().map(AttrSet::single)))
+            .unwrap_or_else(|| {
+                let all = StrippedPartition::of(rel, AttrSet::empty());
+                (Arc::new(all), attrs.iter().collect())
+            })
+    }
+
+    /// Takes a completed scan's Π*_X as a miss's product, inserted as a
+    /// computed miss would be.
+    pub(crate) fn complete_scan(&mut self, attrs: AttrSet, part: Arc<StrippedPartition>) {
+        self.stats.products += 1;
+        self.admit(attrs, part);
+    }
+
+    /// Counts a scan that stopped before Π*_X was complete.
+    pub(crate) fn abandon_scan(&mut self) {
+        self.stats.abandoned += 1;
     }
 
     /// Computes Π*_X by refining the resident parent with the smallest
@@ -273,8 +336,9 @@ impl PartitionCache {
         }
     }
 
-    /// Emits `discovery.partition.products` ([`CacheStats::products`]) and
-    /// the counters/gauges under `discovery.partition.cache.*`.
+    /// Emits `discovery.partition.products` ([`CacheStats::products`]),
+    /// `discovery.partition.abandoned` ([`CacheStats::abandoned`]) and the
+    /// counters/gauges under `discovery.partition.cache.*`.
     pub(crate) fn flush_obs(&self) {
         let obs = &self.obs;
         if !obs.is_enabled() {
@@ -285,6 +349,7 @@ impl PartitionCache {
         // in snapshots even when a total is zero (`Obs::add` drops zeros).
         for name in [
             "discovery.partition.products",
+            "discovery.partition.abandoned",
             "discovery.partition.cache.hits",
             "discovery.partition.cache.misses",
             "discovery.partition.cache.evicted_bytes",
@@ -292,6 +357,7 @@ impl PartitionCache {
             obs.touch_counter(name);
         }
         obs.add("discovery.partition.products", s.products);
+        obs.add("discovery.partition.abandoned", s.abandoned);
         obs.add("discovery.partition.cache.hits", s.hits);
         obs.add("discovery.partition.cache.misses", s.misses);
         obs.add("discovery.partition.cache.evicted_bytes", s.evicted_bytes);
@@ -449,6 +515,33 @@ mod tests {
         assert_eq!((s.hits, s.misses), (0, 2), "keeping the pair is no lookup");
         // Π*_X, Π*_X′ and one kept pair beside the pinned ones.
         assert_eq!(cache.entries.len(), rel.n_attrs() + 3);
+    }
+
+    #[test]
+    fn a_scan_starts_from_the_cheapest_resident_ancestor() {
+        // With level 1 pinned and nothing else resident, X = {a, b, c}
+        // scans from its smallest attribute's partition by the other two;
+        // once a parent is resident it scans from that parent by the one
+        // attribute it lacks. Lookups count, choosing a source does not,
+        // and a completed scan is a product inserted like any miss.
+        let rel = table1();
+        let mut cache = PartitionCache::new(64, Obs::disabled());
+        seed_level1(&mut cache, &rel);
+        let order = chain_order(&rel, rel.schema().all());
+        let x = AttrSet::single(order[0]).with(order[1]).with(order[2]);
+        assert!(cache.lookup(x).is_none());
+        let (from, by) = cache.scan_source(&rel, x);
+        assert_eq!(*from, StrippedPartition::of_attr(&rel, order[0]));
+        assert_eq!(by, x.without(order[0]).iter().collect::<Vec<_>>());
+        let parent = x.without(order[0]);
+        cache.complete_scan(parent, Arc::new(StrippedPartition::of(&rel, parent)));
+        let (from, by) = cache.scan_source(&rel, x);
+        assert_eq!(*from, StrippedPartition::of(&rel, parent));
+        assert_eq!(by, [order[0]]);
+        cache.abandon_scan();
+        assert!(cache.lookup(parent).is_some());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.products, s.abandoned), (1, 1, 1, 1));
     }
 
     #[test]

@@ -235,16 +235,6 @@ mod tests {
             base,
             fingerprint(&rel, &onto, &DiscoveryOptions::default().partition_cache_mib(0))
         );
-        // Evidence sampling is result-neutral too: a snapshot written by an
-        // unsampled run resumes under any sampling depth and vice versa.
-        assert_eq!(
-            base,
-            fingerprint(&rel, &onto, &DiscoveryOptions::default().sample_rounds(0))
-        );
-        assert_eq!(
-            base,
-            fingerprint(&rel, &onto, &DiscoveryOptions::default().sample_rounds(9))
-        );
         // Result-affecting options change the print.
         assert_ne!(
             base,

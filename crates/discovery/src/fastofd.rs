@@ -11,15 +11,19 @@
 //! reads is produced on demand, by linear-time products through the
 //! [`PartitionCache`], so the whole run is polynomial in the number of
 //! tuples and exponential (in the worst case) only in the number of
-//! attributes — matching the paper's complexity analysis.
+//! attributes — matching the paper's complexity analysis. Exact discovery
+//! goes one step further: a Π*_X that is not resident is scanned class by
+//! class while X's candidates are decided, and the scan stops at the class
+//! that refutes the last of them ([`scan_antecedent`]), so Π*_X is built
+//! only for an antecedent with a candidate that holds.
 
 use ofd_core::FxHashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ofd_core::{
-    covered_within, support_threshold, AttrId, AttrSet, EvidenceSet, Ofd, OfdKind, PairKernel,
-    ProductScratch, Relation, Schema, SenseIndex, StrippedPartition, VerifyScratch,
+    covered_within, support_threshold, AttrId, AttrSet, ExecGuard, Ofd, OfdKind, ProductScratch,
+    Relation, Schema, SenseIndex, StrippedPartition, VerifyScratch,
 };
 use ofd_logic::{implies, Dependency};
 use ofd_ontology::Ontology;
@@ -171,10 +175,10 @@ impl<'a> FastOfd<'a> {
         // Exact integer support: a candidate meets κ iff it covers at least
         // `ceil(κ · n_rows)` tuples, i.e. leaves at most `max_uncovered`
         // uncovered. A budget of 0 (κ = 1, or κ close enough that any
-        // violation fails it) is exact discovery, the only mode in which a
-        // sampled violating pair refutes a candidate.
-        let max_uncovered =
-            self.rel.n_rows() - support_threshold(self.rel.n_rows(), self.opts.min_support);
+        // violation fails it) is exact discovery, where one uncovered class
+        // refutes a candidate, so a missing Π*_X is scanned, not built.
+        let n_rows = self.rel.n_rows();
+        let max_uncovered = n_rows - support_threshold(n_rows, self.opts.min_support);
         let exact = max_uncovered == 0;
         // Worker-utilization bookkeeping (gauge — not thread-invariant by
         // design, unlike every counter below).
@@ -184,10 +188,10 @@ impl<'a> FastOfd<'a> {
         let mut sigma: Vec<DiscoveredOfd> = Vec::new();
         let mut stats = DiscoveryStats::default();
         let mut scratch = ProductScratch::default();
-        // Verification counters: one scratch for the sequential path, one
-        // per worker thread, each reused across levels.
-        let mut verify_scratch: Vec<VerifyScratch> = Vec::new();
-        verify_scratch.resize_with(self.opts.threads.max(1), VerifyScratch::default);
+        // Scan and verification buffers: one scratch for the sequential
+        // path, one per worker thread, each reused across levels.
+        let mut worker_scratch: Vec<Scratch> = Vec::new();
+        worker_scratch.resize_with(self.opts.threads.max(1), Scratch::default);
 
         // The one source of partitions: a byte-budgeted cache that
         // produces Π*_X when a data decision first reads it (result-neutral:
@@ -288,38 +292,6 @@ impl<'a> FastOfd<'a> {
         // candidate decision; panics are caught, never propagated.
         let faults = &self.opts.faults;
 
-        // Evidence sampling is a pure *refutation oracle* for the exact
-        // path: a positive answer is a sound "fails on the full relation"
-        // verdict, the absence of one proves nothing, and surviving
-        // candidates still pay for the exact check — which is why Σ,
-        // supports and per-level stats are byte-identical with sampling on
-        // or off (the result-neutrality contract enforced by the
-        // differential tests). It never runs for κ < 1: a violating pair
-        // does not refute an approximate candidate.
-        if obs.is_enabled() {
-            for name in [
-                "discovery.sample.rounds",
-                "discovery.sample.evidence_pairs",
-                "discovery.sample.candidates_pruned",
-            ] {
-                obs.touch_counter(name);
-            }
-        }
-        let evidence: Option<EvidenceSet> = (exact
-            && start_level <= max_level
-            && self.opts.sample_rounds > 0)
-            .then(|| {
-                let _span = obs.span("fastofd.sample");
-                let (mut evidence, rounds_run) =
-                    PairKernel::new(self.rel, &index).gather(self.opts.sample_rounds, guard);
-                evidence.keep_maximal();
-                if obs.is_enabled() {
-                    obs.add("discovery.sample.rounds", rounds_run);
-                    obs.add("discovery.sample.evidence_pairs", evidence.pair_count());
-                }
-                evidence
-            })
-            .filter(|e| !e.is_empty());
         // The canonical Π* of every known superkey; no cache traffic.
         let superkey_partition = Arc::new(StrippedPartition::empty(self.rel.n_rows()));
 
@@ -405,13 +377,8 @@ impl<'a> FastOfd<'a> {
             }
             ls.candidates = jobs.len();
 
-            // Partition-free pre-decisions: Opt-4 logic subsumption, then
-            // the sample refutation oracle. Deciding these before
-            // partition resolution means refuted candidates never force a
-            // product. Soundness keeps attribution honest: a superkey
-            // antecedent implies a valid candidate, which no sound oracle
-            // can refute, so every KeyShortcut candidate still reaches the
-            // data path below.
+            // Partition-free pre-decisions (Opt-4 logic subsumption), made
+            // before partition resolution so that they never force one.
             let prechecked: Vec<Option<(bool, f64, Decision)>> = jobs
                 .iter()
                 .map(|&(_, a, lhs, _)| {
@@ -420,101 +387,170 @@ impl<'a> FastOfd<'a> {
                         rhs: a,
                         kind: self.opts.kind,
                     };
-                    self.precheck(&ofd, &known, evidence.as_ref())
+                    self.precheck(&ofd, &known)
                 })
                 .collect();
 
-            // Produce each antecedent partition a data decision still
-            // needs, before any workers spawn: cache lookups stay on this
-            // thread (counters remain thread-invariant) and workers only
+            // One group per antecedent X, holding its candidates. How the
+            // data-decided ones reach Π*_X is settled here, before any
+            // worker spawns: cache lookups stay on this thread, in job
+            // order (counters remain thread-invariant), and workers only
             // read `Arc`s.
-            let mut resolved: Vec<Option<Arc<StrippedPartition>>> = vec![None; prev.len()];
-            for (&(_, _, _, pi), pre) in jobs.iter().zip(prechecked.iter()) {
-                if pre.is_some() || resolved[pi].is_some() {
+            let mut groups: Vec<Group> = Vec::new();
+            let mut group_of: Vec<usize> = vec![usize::MAX; prev.len()];
+            for (j, &(_, _, _, pi)) in jobs.iter().enumerate() {
+                if group_of[pi] == usize::MAX {
+                    group_of[pi] = groups.len();
+                    groups.push(Group {
+                        attrs: prev[pi].attrs,
+                        jobs: Vec::new(),
+                        source: None,
+                    });
+                }
+                let group = &mut groups[group_of[pi]];
+                group.jobs.push(j);
+                if prechecked[j].is_some() || group.source.is_some() {
                     continue;
                 }
-                let node = &prev[pi];
-                resolved[pi] = Some(if node.superkey {
-                    Arc::clone(&superkey_partition)
+                let attrs = group.attrs;
+                group.source = Some(if prev[pi].superkey {
+                    Source::Partition(Arc::clone(&superkey_partition))
+                } else if !exact {
+                    Source::Partition(cache.produce(self.rel, attrs, &mut scratch))
+                } else if let Some(resident) = cache.lookup(attrs) {
+                    Source::Partition(resident)
                 } else {
-                    cache.produce(self.rel, node.attrs, &mut scratch)
+                    let (from, by) = cache.scan_source(self.rel, attrs);
+                    Source::Scan(from, by)
                 });
             }
 
-            let decide_one = |i: usize, scratch: &mut VerifyScratch| {
-                faults.delay();
-                faults.worker_panic();
-                if let Some(pre) = prechecked[i] {
-                    return pre;
-                }
-                let (_, a, lhs, pi) = jobs[i];
-                let ofd = Ofd {
-                    lhs,
-                    rhs: a,
-                    kind: self.opts.kind,
+            let decide_group = |group: &Group, scratch: &mut Scratch| {
+                let mut decided = Decided {
+                    decisions: vec![None; group.jobs.len()],
+                    scanned: None,
                 };
-                let lhs_partition = resolved[pi].as_ref().expect("resolved before decisions");
-                self.decide_data(&index, &ofd, lhs_partition, max_uncovered, scratch)
+                // Per-candidate checkpoint and fault sites: a candidate the
+                // guard stops before stays undecided, like the rest of its
+                // group.
+                let mut live: Vec<usize> = Vec::new();
+                for (k, &j) in group.jobs.iter().enumerate() {
+                    if guard.check().is_err() {
+                        return decided;
+                    }
+                    faults.delay();
+                    faults.worker_panic();
+                    match prechecked[j] {
+                        Some(pre) => decided.decisions[k] = Some(pre),
+                        None => live.push(k),
+                    }
+                }
+                let ofd = |k: usize| {
+                    let (_, a, lhs, _) = jobs[group.jobs[k]];
+                    Ofd {
+                        lhs,
+                        rhs: a,
+                        kind: self.opts.kind,
+                    }
+                };
+                match &group.source {
+                    None => {}
+                    Some(Source::Partition(partition)) => {
+                        for k in live {
+                            decided.decisions[k] = Some(self.decide_data(
+                                &index,
+                                &ofd(k),
+                                partition,
+                                max_uncovered,
+                                &mut scratch.verify,
+                            ));
+                        }
+                    }
+                    Some(Source::Scan(from, by)) => {
+                        let rhs: Vec<AttrId> = live.iter().map(|&k| ofd(k).rhs).collect();
+                        let scan = scan_antecedent(
+                            self.rel,
+                            &index,
+                            (from, by),
+                            &rhs,
+                            max_uncovered,
+                            guard,
+                            scratch,
+                        );
+                        let key = self.opts.use_opt3
+                            && scan.partition.as_ref().is_some_and(|p| p.is_superkey());
+                        for (&k, uncovered) in live.iter().zip(scan.uncovered) {
+                            decided.decisions[k] = match uncovered {
+                                None => Some((false, 1.0, Decision::Verified)),
+                                Some(_) if scan.interrupted => None,
+                                Some(_) if key => Some((true, 1.0, Decision::KeyShortcut)),
+                                Some(u) => {
+                                    Some((true, support(n_rows, n_rows - u), Decision::Verified))
+                                }
+                            };
+                        }
+                        decided.scanned = scan.partition;
+                    }
+                }
+                decided
             };
             // Panic isolation: a worker panic (a bug in verification, or
             // an injected fault) is caught, recorded as the sticky
             // `WorkerPanic` interrupt, and degrades the run to the same
             // sound partial result every other interrupt produces — the
             // process never aborts. The tripped guard stops every later
-            // decision, and `covered_within` resets its scratch on entry
+            // decision, and the cover step resets its scratch on entry
             // anyway, so counters a panic left behind are never read.
-            let decide_caught =
-                |i: usize, scratch: &mut VerifyScratch| match std::panic::catch_unwind(
-                    std::panic::AssertUnwindSafe(|| decide_one(i, scratch)),
-                ) {
-                    Ok(out) => Some(out),
-                    Err(_) => {
-                        guard.trip_external(ofd_core::Interrupt::WorkerPanic);
-                        None
-                    }
-                };
-            // Per-candidate checkpoint: a `None` decision means the guard
-            // tripped before that candidate was examined (or the worker
-            // deciding it panicked) — it is simply not part of the
-            // (sound) partial output.
+            let decide_caught = |g: usize, scratch: &mut Scratch| match std::panic::catch_unwind(
+                std::panic::AssertUnwindSafe(|| decide_group(&groups[g], scratch)),
+            ) {
+                Ok(out) => Some(out),
+                Err(_) => {
+                    guard.trip_external(ofd_core::Interrupt::WorkerPanic);
+                    None
+                }
+            };
+            // A `None` outcome means the group's worker panicked, or the
+            // guard stopped the workers before one took the group: none of
+            // its candidates is part of the (sound) partial output.
             let verify_started = Instant::now();
             let verify_span = obs.span("fastofd.verify");
-            let decisions: Vec<Option<(bool, f64, Decision)>> = if self.opts.threads <= 1
-                || jobs.len() < 2 * self.opts.threads
+            let outcomes: Vec<Option<Decided>> = if self.opts.threads <= 1
+                || groups.len() < 2 * self.opts.threads
             {
-                let scratch = &mut verify_scratch[0];
-                let out = (0..jobs.len())
-                    .map(|i| guard.check().ok().and_then(|()| decide_caught(i, scratch)))
+                let scratch = &mut worker_scratch[0];
+                let out = (0..groups.len())
+                    .map(|g| decide_caught(g, scratch))
                     .collect();
                 let wall = verify_started.elapsed().as_micros() as u64;
                 busy_us += wall;
                 capacity_us += wall;
                 out
             } else {
-                let n_threads = self.opts.threads.min(jobs.len());
+                let n_threads = self.opts.threads.min(groups.len());
                 let counter = std::sync::atomic::AtomicUsize::new(0);
                 let worker_busy = std::sync::atomic::AtomicU64::new(0);
-                let mut slots: Vec<Option<(bool, f64, Decision)>> = vec![None; jobs.len()];
+                let mut slots: Vec<Option<Decided>> = Vec::new();
+                slots.resize_with(groups.len(), || None);
                 let slot_ptr = SlotWriter(slots.as_mut_ptr());
                 std::thread::scope(|scope| {
-                    for scratch in verify_scratch.iter_mut().take(n_threads) {
+                    for scratch in worker_scratch.iter_mut().take(n_threads) {
                         let counter = &counter;
                         let worker_busy = &worker_busy;
-                        let jobs = &jobs;
+                        let groups = &groups;
                         let decide_caught = &decide_caught;
                         let slot_ptr = &slot_ptr;
                         scope.spawn(move || {
                             let worker_started = Instant::now();
                             loop {
-                                if guard.check().is_err() {
+                                if guard.is_tripped() {
                                     break;
                                 }
-                                let i = counter
-                                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                if i >= jobs.len() {
+                                let g = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                if g >= groups.len() {
                                     break;
                                 }
-                                let Some(out) = decide_caught(i, scratch) else {
+                                let Some(out) = decide_caught(g, scratch) else {
                                     // This worker panicked; the guard is
                                     // tripped, so every worker (including
                                     // this one) stops at its next probe.
@@ -524,7 +560,7 @@ impl<'a> FastOfd<'a> {
                                 // thread via the atomic counter, so writes are
                                 // disjoint.
                                 unsafe {
-                                    *slot_ptr.0.add(i) = Some(out);
+                                    *slot_ptr.0.add(g) = Some(out);
                                 }
                             }
                             worker_busy.fetch_add(
@@ -547,7 +583,25 @@ impl<'a> FastOfd<'a> {
                 );
             }
 
-            let mut sample_pruned: u64 = 0;
+            // Back on this thread, in antecedent order: a completed scan's
+            // Π*_X enters the cache as a miss's product would, and the
+            // decisions return to job order.
+            let mut decisions: Vec<Option<(bool, f64, Decision)>> = vec![None; jobs.len()];
+            for (group, outcome) in groups.iter().zip(outcomes) {
+                let Some(decided) = outcome else {
+                    continue;
+                };
+                if let Some(Source::Scan(..)) = group.source {
+                    match decided.scanned {
+                        Some(partition) => cache.complete_scan(group.attrs, Arc::new(partition)),
+                        None => cache.abandon_scan(),
+                    }
+                }
+                for (&j, decision) in group.jobs.iter().zip(decided.decisions) {
+                    decisions[j] = decision;
+                }
+            }
+
             for (&(ni, a, lhs, _), decision) in jobs.iter().zip(decisions.iter()) {
                 let &Some((valid, support, how)) = decision else {
                     continue;
@@ -556,10 +610,6 @@ impl<'a> FastOfd<'a> {
                     Decision::KeyShortcut => ls.key_shortcuts += 1,
                     Decision::FdShortcut => ls.fd_shortcuts += 1,
                     Decision::Verified => ls.verified += 1,
-                    Decision::SampleRefuted => {
-                        ls.verified += 1;
-                        sample_pruned += 1;
-                    }
                 }
                 if valid {
                     let minimal = if self.opts.use_opt2 {
@@ -630,7 +680,6 @@ impl<'a> FastOfd<'a> {
                 obs.add("discovery.prune.opt2.nodes_deleted", ls.pruned_nodes as u64);
                 obs.add("discovery.prune.opt3.key_shortcuts", ls.key_shortcuts as u64);
                 obs.add("discovery.prune.opt4.fd_shortcuts", ls.fd_shortcuts as u64);
-                obs.add("discovery.sample.candidates_pruned", sample_pruned);
             }
             stats.levels.push(ls);
             // Level-boundary checkpoint. Written only when no interrupt
@@ -756,37 +805,13 @@ impl<'a> FastOfd<'a> {
         out
     }
 
-    /// Decides a candidate without touching any partition, when possible:
-    /// Opt-4 logic subsumption first, then the sample refutation oracle.
-    ///
-    /// Runs before partition resolution so that a pre-decided candidate
-    /// never forces a product. Ordering
-    /// Opt-4 ahead of the oracle keeps Σ byte-identical with sampling off
-    /// even when `known_fds` do not actually hold on the instance (an
-    /// FD-implied candidate is emitted either way, as Opt-4's contract
-    /// dictates, instead of being data-refuted by the sample first).
-    /// `evidence` is only ever gathered for exact discovery.
-    fn precheck(
-        &self,
-        ofd: &Ofd,
-        known: &[Dependency],
-        evidence: Option<&EvidenceSet>,
-    ) -> Option<(bool, f64, Decision)> {
-        // Opt-4: FD subsumption — an OFD implied by FDs that hold exactly
-        // needs no data verification.
-        if self.opts.use_opt4 && !known.is_empty() {
-            let dep = Dependency::from(*ofd);
-            if implies(known, &dep) {
-                return Some((true, 1.0, Decision::FdShortcut));
-            }
-        }
-        // The sample oracle, consulted strictly before the full-relation
-        // scan it exists to avoid. A refutation is sound on the full
-        // relation, and the `(false, 1.0, _)` shape matches what the data
-        // path returns for the same candidate.
-        evidence
-            .filter(|ev| ev.refutes(ofd.lhs, ofd.rhs))
-            .map(|_| (false, 1.0, Decision::SampleRefuted))
+    /// Decides a candidate without touching any partition, when Opt-4
+    /// applies: an OFD implied by FDs that hold exactly needs no data
+    /// verification. Runs before partition resolution so that a
+    /// pre-decided candidate never forces a product or a scan.
+    fn precheck(&self, ofd: &Ofd, known: &[Dependency]) -> Option<(bool, f64, Decision)> {
+        (self.opts.use_opt4 && !known.is_empty() && implies(known, &Dependency::from(*ofd)))
+            .then_some((true, 1.0, Decision::FdShortcut))
     }
 
     /// Decides one candidate against the data: (valid?, support, how).
@@ -809,28 +834,145 @@ impl<'a> FastOfd<'a> {
         if self.opts.use_opt3 && lhs_partition.is_superkey() {
             return (true, 1.0, Decision::KeyShortcut);
         }
-        let n = self.rel.n_rows();
         match covered_within(self.rel, index, ofd, lhs_partition, max_uncovered, scratch) {
-            Some(_) if n == 0 => (true, 1.0, Decision::Verified),
-            Some(covered) => (true, covered as f64 / n as f64, Decision::Verified),
+            Some(covered) => (
+                true,
+                support(self.rel.n_rows(), covered),
+                Decision::Verified,
+            ),
             None => (false, 1.0, Decision::Verified),
         }
     }
 }
 
-/// How one candidate was decided (stats bookkeeping).
+/// A passing candidate's support `covered / n`, the same f64 as
+/// [`ofd_core::Validation::support`] (1.0 on an empty relation).
+fn support(n: usize, covered: usize) -> f64 {
+    if n == 0 {
+        1.0
+    } else {
+        covered as f64 / n as f64
+    }
+}
+
+/// One antecedent X of a level and the candidates `X → A` it heads.
+struct Group {
+    attrs: AttrSet,
+    /// The level's jobs with antecedent X, in job order.
+    jobs: Vec<usize>,
+    /// How the data-decided candidates reach Π*_X; `None` when Opt-4
+    /// decided every one of them.
+    source: Option<Source>,
+}
+
+/// Where a group's candidates read Π*_X from.
+enum Source {
+    /// Π*_X itself: resident in the cache, produced by it (κ < 1), or the
+    /// empty partition of a known superkey.
+    Partition(Arc<StrippedPartition>),
+    /// A cache miss in exact discovery: Π*_X is scanned from a resident
+    /// ancestor, split by X's attributes it lacks.
+    Scan(Arc<StrippedPartition>, Vec<AttrId>),
+}
+
+/// What deciding one group produced.
+struct Decided {
+    /// One decision per candidate of the group, in its order; `None` for
+    /// a candidate the guard stopped first.
+    decisions: Vec<Option<(bool, f64, Decision)>>,
+    /// Π*_X, when a scan of it reached the end.
+    scanned: Option<StrippedPartition>,
+}
+
+/// One worker's buffers: the scan's staging and the cover step's counters.
+#[derive(Debug, Default)]
+struct Scratch {
+    product: ProductScratch,
+    verify: VerifyScratch,
+}
+
+/// Source tuples a scan reads between two guard probes.
+const SCAN_PROBE_TUPLES: usize = 4096;
+
+/// What one antecedent's scan decided.
+struct Scan {
+    /// Per consequent, in the order given: the tuples left uncovered while
+    /// `X → A` still holds, `None` once it has failed.
+    uncovered: Vec<Option<usize>>,
+    /// Π*_X, when the scan reached the end.
+    partition: Option<StrippedPartition>,
+    /// Whether the guard stopped the scan; the consequents still holding
+    /// are then undecided.
+    interrupted: bool,
+}
+
+/// Decides `X → A` for every consequent `A` in `rhs` by one scan of Π*_X:
+/// `source` is Π*_Y for some Y ⊆ X, and each of its classes splits by the
+/// attributes `by`, X \ Y. Every class of ≥ 2 tuples goes to the cover
+/// step of each consequent still holding, with that consequent's remaining
+/// budget, and a consequent fails at the class that leaves more than
+/// `max_uncovered` tuples uncovered. The scan stops once every consequent
+/// has failed, so Π*_X is never built for an antecedent none of whose
+/// candidates holds; a scan that reaches the end returns it.
 ///
-/// [`Decision::SampleRefuted`] is a data-decided negative, so it counts
-/// into [`LevelStats::verified`] exactly like [`Decision::Verified`] — the
-/// per-level stats are part of the result-neutrality contract. It exists
-/// as a distinct variant only for the prune-attribution counters.
+/// Nothing depends on the order the classes come in: the cover of a class
+/// is its own, and the uncovered tuples add up to what [`covered_within`]
+/// counts over the canonical Π*_X. So each verdict is its verdict, and a
+/// passing consequent's `n − uncovered` is its `covered`, bit for bit.
+/// The guard is probed every [`SCAN_PROBE_TUPLES`] source tuples.
+fn scan_antecedent(
+    rel: &Relation,
+    index: &SenseIndex,
+    (source, by): (&StrippedPartition, &[AttrId]),
+    rhs: &[AttrId],
+    max_uncovered: usize,
+    guard: &ExecGuard,
+    scratch: &mut Scratch,
+) -> Scan {
+    let mut uncovered: Vec<Option<usize>> = vec![Some(0); rhs.len()];
+    let mut holding = rhs.len();
+    let mut interrupted = false;
+    let (mut scanned, mut next_probe) = (0, SCAN_PROBE_TUPLES);
+    let Scratch { product, verify } = scratch;
+    let partition = source.scan_with_scratch(rel, by, product, |size, classes| {
+        scanned += size;
+        if scanned >= next_probe {
+            next_probe = scanned + SCAN_PROBE_TUPLES;
+            if guard.check().is_err() {
+                interrupted = true;
+                return false;
+            }
+        }
+        for class in classes {
+            for (left, &a) in uncovered.iter_mut().zip(rhs) {
+                let Some(so_far) = *left else {
+                    continue;
+                };
+                *left = verify
+                    .class_covered(rel, class, a, index, max_uncovered - so_far)
+                    .map(|covered| so_far + class.len() - covered)
+                    .filter(|&total| total <= max_uncovered);
+                holding -= usize::from(left.is_none());
+            }
+            if holding == 0 {
+                return false;
+            }
+        }
+        true
+    });
+    Scan {
+        uncovered,
+        partition,
+        interrupted,
+    }
+}
+
+/// How one candidate was decided (stats bookkeeping).
 #[derive(Debug, Clone, Copy)]
 enum Decision {
     KeyShortcut,
     FdShortcut,
     Verified,
-    /// Refuted by a sampled evidence pair (no full scan).
-    SampleRefuted,
 }
 
 /// Raw-pointer wrapper so disjoint slots can be written from scoped worker
@@ -840,4 +982,123 @@ unsafe impl<T: Send> Sync for SlotWriter<T> {}
 
 fn last_attr(set: AttrSet) -> AttrId {
     set.iter().last().expect("non-empty lattice node")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ofd_ontology::{Ontology, OntologyBuilder};
+    use proptest::prelude::*;
+
+    /// Random relations over `v0..v5` in four columns, and an ontology of
+    /// up to four concepts whose synonym lists overlap, so a value often
+    /// lies in several senses; each concept may be the child of an
+    /// earlier one, for inheritance semantics.
+    fn arb_instance() -> impl Strategy<Value = (Relation, Ontology)> {
+        let rows = prop::collection::vec(prop::collection::vec(0u8..6, 4), 1..16);
+        let concepts =
+            prop::collection::vec((prop::collection::vec(0u8..6, 1..5), 0usize..4), 0..5);
+        (rows, concepts).prop_map(|(rows, concepts)| {
+            let mut b = Relation::builder(Schema::new(["A", "B", "C", "D"]).unwrap());
+            for row in &rows {
+                let cells: Vec<String> = row.iter().map(|v| format!("v{v}")).collect();
+                b.push_row(cells.iter().map(String::as_str)).unwrap();
+            }
+            let mut ob = OntologyBuilder::new();
+            let mut ids = Vec::new();
+            for (ci, (values, parent)) in concepts.iter().enumerate() {
+                let mut values: Vec<String> = values.iter().map(|v| format!("v{v}")).collect();
+                values.sort();
+                values.dedup();
+                let mut c = ob.concept(format!("c{ci}")).synonyms(values);
+                if let Some(&p) = ids.get(parent.wrapping_sub(1)) {
+                    c = c.parent(p);
+                }
+                ids.push(c.build().unwrap());
+            }
+            (b.finish(), ob.finish().unwrap())
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// For every antecedent X, scanned from Π*_Y with Y = X ∩ `from`,
+        /// and every consequent set: each verdict and passing support is
+        /// `covered_within`'s over the direct Π*_X, bit for bit, and the
+        /// scan completes exactly when a consequent holds, with Π*_X
+        /// itself. One scratch serves every scan of a case.
+        #[test]
+        fn scan_decides_as_covered_within_over_the_direct_partition(
+            (rel, onto) in arb_instance(),
+            from in 0u64..16,
+            rhs in 1u64..16,
+            budget in 0usize..4,
+            theta in 0usize..2,
+        ) {
+            let index = if theta > 0 {
+                SenseIndex::inheritance(&rel, &onto, theta)
+            } else {
+                SenseIndex::synonym(&rel, &onto)
+            };
+            let n = rel.n_rows();
+            let mut scratch = Scratch::default();
+            for x in 0..16u64 {
+                let x = AttrSet::from_bits(x);
+                let y = x.intersect(AttrSet::from_bits(from));
+                let rhs: Vec<AttrId> = AttrSet::from_bits(rhs).minus(x).iter().collect();
+                if rhs.is_empty() {
+                    continue;
+                }
+                let source = StrippedPartition::of(&rel, y);
+                let by: Vec<AttrId> = x.minus(y).iter().collect();
+                let direct = StrippedPartition::of(&rel, x);
+                let guard = ExecGuard::unlimited();
+                let scan =
+                    scan_antecedent(&rel, &index, (&source, &by), &rhs, budget, &guard, &mut scratch);
+                prop_assert!(!scan.interrupted);
+                for (&a, got) in rhs.iter().zip(&scan.uncovered) {
+                    let ofd = Ofd::synonym(x, a);
+                    let fresh = &mut VerifyScratch::default();
+                    let want = covered_within(&rel, &index, &ofd, &direct, budget, fresh);
+                    prop_assert_eq!(
+                        got.map(|uncovered| support(n, n - uncovered).to_bits()),
+                        want.map(|covered| support(n, covered).to_bits()),
+                        "{:?} -> {:?} from {:?} at budget {}", x, a, y, budget
+                    );
+                }
+                let holds = scan.uncovered.iter().any(Option::is_some);
+                prop_assert_eq!(scan.partition.is_some(), holds);
+                if let Some(partition) = &scan.partition {
+                    prop_assert_eq!(partition, &direct);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tripped_guard_stops_a_scan_and_leaves_its_survivors_undecided() {
+        // 2 × SCAN_PROBE_TUPLES rows in one class of X = ∅ whose consequent
+        // is constant: the candidate holds, so only the guard stops the scan.
+        let rows = 2 * SCAN_PROBE_TUPLES;
+        let rel =
+            Relation::from_rows(["X", "A"], (0..rows).map(|_| &["x", "a"] as &[&str])).unwrap();
+        let index = SenseIndex::synonym(&rel, &Ontology::empty());
+        let guard = ExecGuard::unlimited();
+        guard.cancel();
+        let source = StrippedPartition::of(&rel, AttrSet::empty());
+        let x = rel.schema().attr("X").unwrap();
+        let a = rel.schema().attr("A").unwrap();
+        let scan = scan_antecedent(
+            &rel,
+            &index,
+            (&source, &[x]),
+            &[a],
+            0,
+            &guard,
+            &mut Scratch::default(),
+        );
+        assert!(scan.interrupted && scan.partition.is_none());
+        assert_eq!(scan.uncovered, [Some(0)]);
+    }
 }

@@ -42,7 +42,7 @@ pub use brute::{brute_force, brute_force_guarded};
 pub use cache::{CacheStats, PartitionCache};
 pub use checkpoint::CheckpointOptions;
 pub use fastofd::{DiscoveredOfd, Discovery, FastOfd};
-pub use options::{DiscoveryOptions, DEFAULT_PARTITION_CACHE_MIB, DEFAULT_SAMPLE_ROUNDS};
+pub use options::{DiscoveryOptions, DEFAULT_PARTITION_CACHE_MIB};
 pub use stats::{DiscoveryStats, LevelStats};
 
 #[cfg(test)]
@@ -265,53 +265,11 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_pipeline_is_result_neutral() {
-        // The tentpole contract: sampling is a refutation oracle only, so
-        // Σ — including raw support bits — and the per-level stats are
-        // byte-identical with the pipeline on or off, at any thread count
-        // and sampling depth.
-        let rel = table1();
-        let onto = samples::combined_paper_ontology();
-        let reference = FastOfd::new(&rel, &onto)
-            .options(DiscoveryOptions::new().sample_rounds(0))
-            .run();
-        for threads in [1usize, 4] {
-            for rounds in [0usize, 3] {
-                let run = FastOfd::new(&rel, &onto)
-                    .options(
-                        DiscoveryOptions::new()
-                            .sample_rounds(rounds)
-                            .threads(threads),
-                    )
-                    .run();
-                let tag = format!("threads={threads} rounds={rounds}");
-                assert_eq!(run.ofds, reference.ofds, "{tag}: Σ diverged");
-                for (a, b) in run.ofds.iter().zip(&reference.ofds) {
-                    assert_eq!(
-                        a.support.to_bits(),
-                        b.support.to_bits(),
-                        "{tag}: support bits diverged"
-                    );
-                }
-                assert_eq!(run.stats.levels.len(), reference.stats.levels.len(), "{tag}");
-                for (l, r) in run.stats.levels.iter().zip(&reference.stats.levels) {
-                    assert_eq!(
-                        (l.nodes, l.candidates, l.verified, l.key_shortcuts,
-                         l.fd_shortcuts, l.found, l.pruned_nodes),
-                        (r.nodes, r.candidates, r.verified, r.key_shortcuts,
-                         r.fd_shortcuts, r.found, r.pruned_nodes),
-                        "{tag}: level {} stats diverged",
-                        l.level
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hybrid_pipeline_prunes_and_counts_on_table1() {
-        // The sample oracle must actually fire on Table 1 (most candidates
-        // fail) and be attributed in the prune counters.
+    fn exact_scans_account_for_every_miss_on_table1() {
+        // Exact discovery scans every antecedent partition it misses, and
+        // each scan either completes (a product, inserted) or stops once
+        // all its candidates have failed (abandoned): on Table 1, where
+        // most candidates fail, some of each.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let obs = ofd_core::Obs::enabled();
@@ -319,41 +277,33 @@ mod tests {
             .options(DiscoveryOptions::new().obs(obs.clone()))
             .run();
         assert!(run.complete);
+        let cs = run.stats.cache.expect("cache on by default");
+        assert!(cs.products > 0 && cs.abandoned > 0, "{cs:?}");
+        assert_eq!(cs.products + cs.abandoned, cs.misses, "{cs:?}");
         let m = obs.snapshot();
-        assert_eq!(
-            m.counter("discovery.sample.rounds"),
-            Some(DEFAULT_SAMPLE_ROUNDS as u64)
-        );
-        assert!(m.counter("discovery.sample.evidence_pairs").unwrap_or(0) > 0);
-        let pruned = m.counter("discovery.sample.candidates_pruned").unwrap_or(0);
-        assert!(pruned > 0, "the sampler refuted no candidate at all: {m:?}");
-        // Refuted candidates are a subset of the data-decided verifications.
-        let verified: u64 = run.stats.levels.iter().map(|l| l.verified as u64).sum();
+        assert_eq!(m.counter("discovery.partition.abandoned"), Some(cs.abandoned));
         assert!(
-            pruned <= verified,
-            "sample refutations ({pruned}) exceed data-decided candidates ({verified})"
+            m.counters.iter().all(|(name, _)| !name.starts_with("discovery.sample.")),
+            "no sampler runs: {m:?}"
         );
     }
 
     #[test]
-    fn approx_mode_ignores_hybrid_knobs() {
-        // κ < 1: a violating pair does not refute an approximate
-        // candidate, so sampling may not run at all.
+    fn approximate_runs_build_partitions_and_never_scan() {
+        // κ < 1 keeps the build-then-check path: every miss is a product
+        // or a chain, and no scan is abandoned.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
-        let obs = ofd_core::Obs::enabled();
-        let hybrid = discover(
-            &rel,
-            &onto,
-            DiscoveryOptions::new()
-                .min_support(0.8)
-                .sample_rounds(5)
-                .obs(obs.clone()),
+        let run = FastOfd::new(&rel, &onto)
+            .options(DiscoveryOptions::new().min_support(0.8))
+            .run();
+        let cs = run.stats.cache.expect("cache on by default");
+        assert!(cs.misses > 0 && cs.products >= cs.misses, "{cs:?}");
+        assert_eq!(cs.abandoned, 0, "{cs:?}");
+        assert_eq!(
+            run.ofds().copied().collect::<Vec<_>>(),
+            brute_force(&rel, &onto, OfdKind::Synonym, 0.8)
         );
-        let plain = discover(&rel, &onto, DiscoveryOptions::new().min_support(0.8));
-        assert_eq!(hybrid, plain);
-        let m = obs.snapshot();
-        assert_eq!(m.counter("discovery.sample.rounds"), Some(0));
     }
 
     #[test]
@@ -586,22 +536,23 @@ mod tests {
     }
 
     #[test]
-    fn resume_accepts_changed_hybrid_knobs() {
-        // The sampling knob is excluded from the checkpoint fingerprint
-        // (it is result-neutral), so a snapshot written by an unsampled
-        // run resumes under a sampled configuration — and completes to the
-        // identical Σ.
+    fn resume_accepts_changed_tuning_knobs() {
+        // The cache budget and the thread count are excluded from the
+        // checkpoint fingerprint (they are result-neutral), so a snapshot
+        // written by a single-threaded run that kept only the pinned
+        // partitions resumes under the defaults on four threads — and
+        // completes to the identical Σ.
         let rel = table1();
         let onto = samples::combined_paper_ontology();
         let reference = FastOfd::new(&rel, &onto).run();
-        let dir = temp_ckpt_dir("hybrid_resume");
+        let dir = temp_ckpt_dir("tuned_resume");
         let _ = std::fs::remove_dir_all(&dir);
         let guard = ofd_core::ExecGuard::unlimited();
         guard.fail_after(25);
         let killed = FastOfd::new(&rel, &onto)
             .options(
                 DiscoveryOptions::new()
-                    .sample_rounds(0)
+                    .partition_cache_mib(0)
                     .guard(guard)
                     .checkpoint(CheckpointOptions::new(&dir)),
             )
@@ -610,7 +561,7 @@ mod tests {
         let resumed = FastOfd::new(&rel, &onto)
             .options(
                 DiscoveryOptions::new()
-                    .sample_rounds(4)
+                    .threads(4)
                     .checkpoint(CheckpointOptions::new(&dir).resume(true)),
             )
             .run();
@@ -801,22 +752,6 @@ mod tests {
                     prop_assert_eq!(&fast, &brute, "κ = {} at {} MiB", kappa, mib);
                 }
             }
-        }
-
-        /// Sampled runs agree with the plain sequential engine on Σ over
-        /// random instances and thread counts (the hybrid-pipeline
-        /// result-neutrality contract).
-        #[test]
-        fn hybrid_fastofd_equals_sequential(
-            ((rel, onto), threads) in (arb_instance(), 1usize..5)
-        ) {
-            let sequential = FastOfd::new(&rel, &onto)
-                .options(DiscoveryOptions::new().sample_rounds(0))
-                .run();
-            let hybrid = FastOfd::new(&rel, &onto)
-                .options(DiscoveryOptions::new().sample_rounds(3).threads(threads))
-                .run();
-            prop_assert_eq!(&hybrid.ofds, &sequential.ofds);
         }
 
         /// Interrupting FastOFD at an arbitrary checkpoint yields a subset

@@ -70,16 +70,6 @@ pub struct DiscoveryOptions {
     /// are installed on the checkpoint store instead
     /// ([`ofd_core::SnapshotStore::with_faults`]).
     pub faults: FaultPlan,
-    /// Evidence-sampling rounds run before the lattice traversal (exact
-    /// discovery only; ignored for κ < 1). Round `r` compares rows at
-    /// sorted-neighbourhood distance `r + 1` within every attribute's value
-    /// order; pairs whose consequent values share no sense become sound
-    /// refutation witnesses consulted before any full-relation scan.
-    /// Result-neutral: a sample violation is a violation on the full
-    /// relation, so Σ, supports and per-level stats are byte-identical at
-    /// any round count (and the knob is excluded from the checkpoint
-    /// fingerprint). `0` disables sampling.
-    pub sample_rounds: usize,
     /// Byte budget (MiB) of the partition cache, which produces each Π*_X
     /// a data decision reads and retains computed partitions across
     /// lattice levels with LRU eviction. It bounds memory only: `0` keeps
@@ -94,11 +84,6 @@ pub struct DiscoveryOptions {
 
 /// Default [`DiscoveryOptions::partition_cache_mib`].
 pub const DEFAULT_PARTITION_CACHE_MIB: usize = 256;
-
-/// Default [`DiscoveryOptions::sample_rounds`]: two sorted-neighbourhood
-/// passes prune the bulk of failing candidates at a cost linear in the
-/// relation, so sampling is on by default.
-pub const DEFAULT_SAMPLE_ROUNDS: usize = 2;
 
 impl Default for DiscoveryOptions {
     fn default() -> Self {
@@ -116,7 +101,6 @@ impl Default for DiscoveryOptions {
             obs: Obs::disabled(),
             checkpoint: None,
             faults: FaultPlan::none(),
-            sample_rounds: DEFAULT_SAMPLE_ROUNDS,
             partition_cache_mib: DEFAULT_PARTITION_CACHE_MIB,
         }
     }
@@ -226,10 +210,12 @@ impl DiscoveryOptions {
         self
     }
 
-    /// Sets the evidence-sampling round count (`0` disables sampling).
-    /// Result-neutral: any value yields byte-identical Σ and stats.
-    pub fn sample_rounds(mut self, rounds: usize) -> Self {
-        self.sample_rounds = rounds;
+    /// Does nothing. Exact discovery once ran a pair sampler before the
+    /// lattice; its candidates are now decided by early-exit scans, which
+    /// need no sample, so there is nothing left to configure. Kept so that
+    /// callers written against the sampler still build.
+    #[deprecated(note = "exact discovery no longer samples; this option has no effect")]
+    pub fn sample_rounds(self, _rounds: usize) -> Self {
         self
     }
 
@@ -262,7 +248,6 @@ mod tests {
         assert!(o.max_level.is_none());
         assert_eq!(o.threads, 1);
         assert_eq!(o.partition_cache_mib, DEFAULT_PARTITION_CACHE_MIB);
-        assert_eq!(o.sample_rounds, DEFAULT_SAMPLE_ROUNDS);
     }
 
     #[test]

@@ -461,13 +461,11 @@ fn discover(body: &Value, ctx: &JobContext) -> Result<(Value, JobOutcome), BadRe
         }
         opts = opts.threads(threads as usize);
     }
-    // Tuning knobs. Both are result-neutral (the engine's differential
-    // contract), so — like `threads` — they stay out of the job
-    // fingerprint: a resubmission tuned differently still resumes the same
-    // job's snapshots.
-    if let Some(rounds) = opt_u64(body, "sample_rounds")? {
-        opts = opts.sample_rounds(rounds as usize);
-    }
+    // The cache budget is a tuning knob. It is result-neutral (the
+    // engine's differential contract), so — like `threads` — it stays out
+    // of the job fingerprint: a resubmission tuned differently still
+    // resumes the same job's snapshots. Retired knobs (`sample_rounds`,
+    // `shards`) are ignored.
     if let Some(mib) = opt_u64(body, "partition_cache_mib")? {
         opts = opts.partition_cache_mib(mib as usize);
     }
@@ -760,11 +758,11 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_knobs_stay_out_of_the_job_fingerprint() {
-        // Resubmitting a job with different pre-filter tuning (or thread
-        // count) must land in the same snapshot directory: the knobs are
-        // result-neutral, so a retuned retry still resumes the original
-        // job's checkpoints.
+    fn tuning_knobs_stay_out_of_the_job_fingerprint() {
+        // Resubmitting a job with a different thread count or cache budget,
+        // or with retired knobs, must land in the same snapshot directory:
+        // the knobs are result-neutral, so a retuned retry still resumes
+        // the original job's checkpoints.
         let mut c = ctx();
         c.checkpoint_root = Some(std::env::temp_dir().join("ofd-serve-ckpt-hybrid-test"));
         let plain = json!({"csv": "A,B\n1,2\n"});
@@ -790,10 +788,11 @@ mod tests {
     }
 
     #[test]
-    fn discover_with_hybrid_knobs_matches_default_sigma() {
+    fn discover_with_tuning_knobs_matches_default_sigma() {
         let (plain, _) = discover(&sample_body(), &ctx()).expect("discover");
         let mut tuned_body = sample_body();
         if let Value::Object(fields) = &mut tuned_body {
+            fields.push(("partition_cache_mib".into(), json!(0u64)));
             fields.push(("sample_rounds".into(), json!(3u64)));
             fields.push(("shards".into(), json!(2u64)));
             fields.push(("threads".into(), json!(2u64)));
@@ -802,7 +801,7 @@ mod tests {
         assert_eq!(
             plain.get("ofds").and_then(Value::as_array),
             tuned.get("ofds").and_then(Value::as_array),
-            "hybrid knobs are result-neutral through the HTTP surface"
+            "tuning knobs are result-neutral through the HTTP surface"
         );
     }
 

@@ -84,7 +84,10 @@ pub struct ServeConfig {
     /// Seeded fault plan passed through to the engines and snapshot
     /// stores (inert by default; the soak harness sets it).
     pub faults: FaultPlan,
-    /// Metrics handle backing `/metrics` and the shutdown summary.
+    /// Metrics handle backing `/metrics` and the shutdown summary. The
+    /// default keeps counters, gauges and histograms but no spans
+    /// ([`Obs::metrics_only`]), so `/metrics` does not grow with the
+    /// requests served.
     pub obs: Obs,
     /// Base backoff hint (ms) attached to shed responses; scaled by the
     /// queue depth so a deeper backlog pushes retries further out.
@@ -108,7 +111,7 @@ impl Default for ServeConfig {
             head_timeout_ms: 10_000,
             peer_timeout_ms: 10_000,
             faults: FaultPlan::none(),
-            obs: Obs::enabled(),
+            obs: Obs::metrics_only(),
             retry_after_ms: 250,
         }
     }

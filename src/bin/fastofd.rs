@@ -6,7 +6,7 @@
 //!                  --out data.csv --onto-out onto.txt
 //! fastofd discover --data data.csv --ontology onto.txt [--kappa 0.9]
 //!                  [--theta N] [--max-level L] [--threads T]
-//!                  [--partition-cache-mib M] [--sample-rounds N]
+//!                  [--partition-cache-mib M]
 //! fastofd check    --data data.csv --ontology onto.txt --ofd "CC->CTRY"
 //! fastofd clean    --data data.csv --ontology onto.txt \
 //!                  --ofd "CC->CTRY" --ofd "SYMP,DIAG->MED" \
@@ -17,6 +17,9 @@
 //!                  [--breaker-failures N] [--breaker-cooldown-ms N]
 //!                  [--checkpoint-dir DIR]
 //! ```
+//!
+//! Each command declares its flags: an unknown one is a usage error that
+//! names it, and `fastofd <command> --help` prints the command's usage.
 //!
 //! `serve` also exposes the streaming endpoints `POST /v1/append` and
 //! `POST /v1/retract`: tuple inserts, deletes and consequent-cell updates
@@ -69,9 +72,148 @@ fn completion_code(complete: bool) -> ExitCode {
     }
 }
 
+/// Flags of the long-running engine commands (discover, clean, enforce):
+/// execution limits, observability, crash safety and fault injection.
+const RUN_FLAGS: &[&str] = &[
+    "timeout-ms",
+    "max-work",
+    "max-rss-mib",
+    "metrics-out",
+    "trace",
+    "checkpoint-dir",
+    "resume",
+    "faults",
+];
+
+/// Flags of a single `fastofd serve` process.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue-cap",
+    "budget-ms",
+    "max-body-mib",
+    "rss-high-water-mib",
+    "breaker-failures",
+    "breaker-cooldown-ms",
+    "retry-after-ms",
+    "head-timeout-ms",
+    "peer-timeout-ms",
+    "checkpoint-dir",
+    "peers",
+    "faults",
+    "metrics-out",
+];
+
+/// A command's declared flags and its usage text.
+struct Command {
+    usage: &'static str,
+    /// The flag groups it accepts: its own, plus [`RUN_FLAGS`] or
+    /// [`SERVE_FLAGS`] where those apply.
+    flags: &'static [&'static [&'static str]],
+}
+
+impl Command {
+    /// The command `name` runs as, given its flags (`serve --router` is a
+    /// command of its own); `None` for an unknown name.
+    fn named(name: &str, flags: &HashMap<String, Vec<String>>) -> Option<Command> {
+        let (usage, flags): (&'static str, &'static [&'static [&'static str]]) = match name {
+            "generate" => (
+                "fastofd generate [--preset clinical|kiva|census|demo] [--rows N] [--err PCT]\n\
+                 \x20                [--inc PCT] [--seed N] [--out data.csv] [--onto-out ontology.txt]",
+                &[&["preset", "rows", "err", "inc", "seed", "out", "onto-out"]],
+            ),
+            "discover" => (
+                "fastofd discover --data data.csv [--ontology onto.txt] [--kappa K] [--theta N]\n\
+                 \x20                [--max-level L] [--threads T] [--partition-cache-mib M]\n\
+                 \x20                [--out sigma.txt] [run flags]",
+                &[
+                    &[
+                        "data",
+                        "ontology",
+                        "kappa",
+                        "theta",
+                        "max-level",
+                        "threads",
+                        "partition-cache-mib",
+                        "out",
+                    ],
+                    RUN_FLAGS,
+                ],
+            ),
+            "check" => (
+                "fastofd check --data data.csv [--ontology onto.txt]\n\
+                 \x20             (--ofd \"A,B->C\" | --ofds-file F)... [--theta N] [--explain]",
+                &[&["data", "ontology", "ofd", "ofds-file", "theta", "explain"]],
+            ),
+            "clean" => (
+                "fastofd clean --data data.csv [--ontology onto.txt]\n\
+                 \x20             (--ofd \"A,B->C\" | --ofds-file F)... [--theta N] [--tau T]\n\
+                 \x20             [--beam B] [--out repaired.csv] [--onto-out repaired-onto.txt]\n\
+                 \x20             [--report report.txt] [run flags]",
+                &[
+                    &[
+                        "data",
+                        "ontology",
+                        "ofd",
+                        "ofds-file",
+                        "theta",
+                        "tau",
+                        "beam",
+                        "out",
+                        "onto-out",
+                        "report",
+                    ],
+                    RUN_FLAGS,
+                ],
+            ),
+            "enforce" => (
+                "fastofd enforce --data data.csv [--ontology onto.txt] [--kappa K] [--max-level L]\n\
+                 \x20               [--tau T] [--out repaired.csv] [run flags]",
+                &[&["data", "ontology", "kappa", "max-level", "tau", "out"], RUN_FLAGS],
+            ),
+            "serve" if flags.contains_key("router") => (
+                "fastofd serve --router [--addr A] [--workers N] [--worker-threads N]\n\
+                 \x20             [--probe-interval-ms N] [--peers HOST:PORT,..] [--metrics-out F]\n\
+                 \x20             [every serve flag but --router, forwarded to the workers]",
+                &[&["router", "worker-threads", "probe-interval-ms"], SERVE_FLAGS],
+            ),
+            "serve" => (
+                "fastofd serve [--addr A] [--workers N] [--queue-cap N] [--budget-ms N]\n\
+                 \x20             [--max-body-mib N] [--rss-high-water-mib N] [--breaker-failures N]\n\
+                 \x20             [--breaker-cooldown-ms N] [--retry-after-ms N] [--head-timeout-ms N]\n\
+                 \x20             [--peer-timeout-ms N] [--checkpoint-dir DIR] [--peers HOST:PORT,..]\n\
+                 \x20             [--faults SPEC] [--metrics-out F]",
+                &[SERVE_FLAGS],
+            ),
+            _ => return None,
+        };
+        Some(Command { usage, flags })
+    }
+
+    fn accepts(&self, flag: &str) -> bool {
+        self.flags.iter().any(|group| group.contains(&flag))
+    }
+
+    /// The usage text, with the run flags spelled out where they apply.
+    fn usage(&self) -> String {
+        let mut out = format!("usage: {}", self.usage);
+        if self.flags.contains(&RUN_FLAGS) {
+            out.push_str(
+                "\nrun flags: [--timeout-ms N] [--max-work N] [--max-rss-mib N] [--metrics-out F]\n\
+                 \x20          [--trace] [--checkpoint-dir DIR [--resume]] [--faults SPEC]",
+            );
+        }
+        out
+    }
+}
+
 fn run() -> Result<ExitCode, String> {
     let mut args = std::env::args().skip(1);
     let command = args.next().ok_or_else(usage)?;
+    if matches!(command.as_str(), "--help" | "-h" | "help") {
+        eprintln!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
+    }
     let mut flags: HashMap<String, Vec<String>> = HashMap::new();
     let mut current: Option<String> = None;
     for arg in args {
@@ -84,6 +226,20 @@ fn run() -> Result<ExitCode, String> {
         } else {
             return Err(format!("unexpected positional argument {arg:?}"));
         }
+    }
+    let spec = Command::named(&command, &flags)
+        .ok_or_else(|| format!("unknown command {command:?}\n{}", usage()))?;
+    if flags.contains_key("help") {
+        println!("{}", spec.usage());
+        return Ok(ExitCode::SUCCESS);
+    }
+    let mut unknown: Vec<&String> = flags.keys().filter(|name| !spec.accepts(name)).collect();
+    unknown.sort();
+    if let Some(name) = unknown.first() {
+        return Err(format!(
+            "unknown flag --{name} for `fastofd {command}`\n{}",
+            spec.usage()
+        ));
     }
     let single = |name: &str| -> Option<&str> {
         flags.get(name).and_then(|v| v.first()).map(String::as_str)
@@ -173,13 +329,6 @@ fn run() -> Result<ExitCode, String> {
                 opts = opts.partition_cache_mib(
                     mib.parse()
                         .map_err(|_| "--partition-cache-mib expects MiB (0 keeps level 1 only)")?,
-                );
-            }
-            if let Some(rounds) = single("sample-rounds") {
-                opts = opts.sample_rounds(
-                    rounds
-                        .parse()
-                        .map_err(|_| "--sample-rounds expects an integer (0 disables)")?,
                 );
             }
             opts = opts.guard(guard).obs(obs.clone()).faults(faults.clone());
@@ -558,11 +707,7 @@ fn run() -> Result<ExitCode, String> {
             emit_obs(&obs_handle, &flags)?;
             Ok(ExitCode::SUCCESS)
         }
-        "--help" | "-h" | "help" => {
-            eprintln!("{}", usage());
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command {other:?}\n{}", usage())),
+        other => unreachable!("{other:?} has no flag declarations"),
     }
 }
 
@@ -589,9 +734,7 @@ fn usage() -> String {
      crash safety (discover/clean/enforce): --checkpoint-dir DIR [--resume]\n\
      performance (discover): --partition-cache-mib M (partition memory bound; 0 keeps only\n\
               the pinned level-1 partitions; default 256)\n\
-     sampling pre-filter (discover, exact mode; result-neutral): --sample-rounds N (default\n\
-              2, 0 disables) — HyFD-style sampled evidence refutes candidates before any\n\
-              full-relation scan or partition product\n\
+     each command's flags: fastofd <command> --help; an unknown flag is an error\n\
      fault injection (testing only): --faults \"seed=N,snapshot-io%P,panic@N\" or FASTOFD_FAULTS;\n\
               network sites: net-delay net-reset net-partial net-blackhole net-refuse\n\
               (+ delay-ms=N), realised by the in-process chaos proxy (serve_probe --chaos-net)\n\

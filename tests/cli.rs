@@ -281,3 +281,57 @@ fn bad_usage_fails_cleanly() {
         .expect("unknown command");
     assert!(!out.status.success());
 }
+
+/// Every command declares its flags: a misspelt or retired flag is a usage
+/// error that names it (exit 1, nothing run), never silently ignored, and
+/// `--help` after a command prints that command's usage instead of running
+/// it. `serve --help` is polled against a deadline because a server that
+/// does start runs until it is killed.
+#[test]
+fn unknown_flags_are_usage_errors_and_help_prints_usage() {
+    let dir = tmp_dir("flags");
+    let data = dir.join("d.csv");
+    let onto = dir.join("o.txt");
+    let out = bin()
+        .args(["generate", "--preset", "clinical", "--rows", "200", "--seed", "5"])
+        .args(["--out", data.to_str().unwrap()])
+        .args(["--onto-out", onto.to_str().unwrap()])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    for (flag, value) in [("--kapa", "0.5"), ("--sample-rounds", "2")] {
+        let out = bin()
+            .args(["discover", "--data", data.to_str().unwrap()])
+            .args(["--ontology", onto.to_str().unwrap()])
+            .args([flag, value, "--max-level", "2"])
+            .output()
+            .expect("run discover with an unknown flag");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("discover {flag}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{what}");
+        assert!(stderr.contains(&format!("error: unknown flag {flag}")), "{what}");
+        assert!(stderr.contains("usage: fastofd discover"), "{what}");
+        assert!(out.stdout.is_empty(), "{what}: nothing ran");
+    }
+    let out = bin().args(["discover", "--help"]).output().expect("discover --help");
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("--partition-cache-mib"));
+
+    let mut child = bin()
+        .args(["serve", "--addr", "127.0.0.1:0", "--help"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve --help");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while child.try_wait().expect("poll serve").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().expect("serve --help output");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("usage: fastofd serve"), "{stdout}");
+    assert!(!stdout.contains("listening on"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}

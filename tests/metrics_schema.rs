@@ -110,25 +110,25 @@ fn metrics_json_matches_schema_v1() {
     // Every instrumented discovery run produces its partitions through the
     // partition cache, so it must publish the cache's counters (values are
     // workload-dependent).
+    // `abandoned` counts exact discovery's scans that stopped before their
+    // partition was complete; it is touched like the others, so it appears
+    // (as a zero) in an approximate run too — dashboards never see an
+    // absent series.
     let names = counter_names(&v);
     for name in [
         "discovery.partition.products",
+        "discovery.partition.abandoned",
         "discovery.partition.cache.hits",
         "discovery.partition.cache.misses",
         "discovery.partition.cache.evicted_bytes",
     ] {
         assert!(names.iter().any(|n| n == name), "partition-cache counter {name} missing");
     }
-    // The sampling pre-filter counters are touched at engine start, so they
-    // appear (as zeros) even when sampling is disabled for the run —
-    // dashboards never see an absent series.
-    for name in [
-        "discovery.sample.rounds",
-        "discovery.sample.evidence_pairs",
-        "discovery.sample.candidates_pruned",
-    ] {
-        assert!(names.iter().any(|n| n == name), "hybrid pre-filter counter {name} missing");
-    }
+    // The retired sampler publishes nothing.
+    assert!(
+        names.iter().all(|n| !n.starts_with("discovery.sample.")),
+        "sampler counters are gone: {names:?}"
+    );
     let gauges = match v.get("gauges").expect("gauges present") {
         Value::Object(fields) => fields.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
         other => panic!("gauges must be an object, got {other}"),
@@ -228,6 +228,69 @@ fn serve_metrics_endpoint_matches_schema_v1_with_serve_counters_pinned() {
         .and_then(Value::as_f64);
     assert_eq!(depth, Some(0.0), "serve.queue.depth gauge present on a fresh server");
 
+    server.shutdown(std::time::Duration::from_secs(10));
+}
+
+/// A server's `/metrics` does not grow with the requests it serves: its
+/// long-lived handle keeps counters, gauges and histograms but retains no
+/// spans, so after N and after 2N inline discovers the document holds no
+/// span and has the same size, up to the digits of totals that grew.
+#[test]
+fn serve_metrics_stay_bounded_as_requests_accumulate() {
+    use fastofd::serve::{http, PeerTimeouts, ServeConfig, Server};
+
+    let ds = fastofd::datagen::clinical(&fastofd::datagen::PresetConfig {
+        n_rows: 300,
+        seed: 5,
+        ..fastofd::datagen::PresetConfig::default()
+    });
+    let body = serde_json::json!({
+        "csv": fastofd::datagen::csv::write_csv(&ds.relation),
+        "ontology": fastofd::ontology::write_ontology(&ds.ontology),
+        "max_level": 3u64,
+    })
+    .to_string();
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind serve on an ephemeral port");
+    let timeouts = PeerTimeouts::default();
+    let mut sizes = Vec::new();
+    for _ in 0..2 {
+        for _ in 0..10 {
+            let reply = http::exchange(
+                server.addr(),
+                "POST",
+                "/v1/discover",
+                &[],
+                body.as_bytes(),
+                &timeouts,
+            )
+            .expect("discover");
+            assert_eq!(reply.status, 200, "{}", String::from_utf8_lossy(reply.body()));
+        }
+        let text = scrape(server.addr());
+        let v = validate_schema_v1(&text);
+        assert_eq!(
+            v.get("spans").and_then(Value::as_array).map(Vec::len),
+            Some(0),
+            "a served /metrics retains no spans"
+        );
+        sizes.push(text.len());
+    }
+    assert!(server.obs().snapshot().spans.is_empty());
+    assert_eq!(
+        server.obs().snapshot().counter("serve.admitted"),
+        Some(20),
+        "all 20 discovers ran on the server's handle"
+    );
+    assert!(
+        sizes[1].abs_diff(sizes[0]) < 256,
+        "/metrics grew from {} to {} bytes over 10 more requests",
+        sizes[0],
+        sizes[1]
+    );
     server.shutdown(std::time::Duration::from_secs(10));
 }
 

@@ -1,10 +1,10 @@
-//! Exact discovery's sampled path, pinned by its counts on one generated
-//! instance. The sampler and the partition cache may change how they reach
-//! their answers, never the answers: Σ, the sample counters, the cache's
-//! products, hits and misses and the per-level `verified` counts stay these
+//! Exact discovery's scan path, pinned by its counts on one generated
+//! instance. The scans and the partition cache may change how they reach
+//! their answers, never the answers: Σ, the cache's products, abandoned
+//! scans, hits and misses and the per-level `verified` counts stay these
 //! literals, at one and at four threads. A cache budget of 0 keeps only the
-//! pinned partitions, so it recomputes more, but Σ, the per-level stats and
-//! the sample counters stay the same as at the default budget.
+//! pinned partitions, so it scans more from level-1 partitions, but Σ and
+//! the per-level stats stay the same as at the default budget.
 
 use fastofd::core::Obs;
 use fastofd::datagen::{clinical, PresetConfig};
@@ -20,8 +20,8 @@ fn clinical_2k_sampled_discovery_counts_are_pinned() {
     });
     let mut reference = None;
     for (mib, cache_counts) in [
-        (DEFAULT_PARTITION_CACHE_MIB, [104, 17, 78]),
-        (0, [151, 17, 78]),
+        (DEFAULT_PARTITION_CACHE_MIB, [51, 404, 30, 455]),
+        (0, [51, 404, 30, 455]),
     ] {
         for threads in [1usize, 4] {
             let tag = format!("cache={mib}MiB threads={threads}");
@@ -40,15 +40,10 @@ fn clinical_2k_sampled_discovery_counts_are_pinned() {
             let counter = |name: &str| m.counter(name).unwrap_or_else(|| panic!("{name} missing"));
             let verified: Vec<usize> = result.stats.levels.iter().map(|l| l.verified).collect();
             assert_eq!(result.len(), 180, "|Σ| at {tag}");
-            assert_eq!(counter("discovery.sample.evidence_pairs"), 59_955, "{tag}");
-            assert_eq!(
-                counter("discovery.sample.candidates_pruned"),
-                5_254,
-                "{tag}"
-            );
             assert_eq!(
                 [
                     counter("discovery.partition.products"),
+                    counter("discovery.partition.abandoned"),
                     counter("discovery.partition.cache.hits"),
                     counter("discovery.partition.cache.misses"),
                 ],
